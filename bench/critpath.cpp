@@ -173,12 +173,6 @@ int main(int argc, char** argv) {
     }
   }
 
-#if !defined(BBSIM_CRITPATH_ENABLED)
-  std::fprintf(stderr,
-               "bench_critpath: this build has no critpath hooks "
-               "(reconfigure with -DBBSIM_CRITPATH=ON); nothing to measure\n");
-  return 0;
-#else
   std::vector<Tier> tiers;
   std::size_t pos = 0;
   while (pos < tiers_arg.size()) {
@@ -207,5 +201,4 @@ int main(int argc, char** argv) {
   json::write_file(out_path, json::Value(std::move(root)));
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
-#endif
 }

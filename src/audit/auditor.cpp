@@ -22,7 +22,11 @@ const char* to_string(Code code) {
   return "unknown";
 }
 
-Auditor::Auditor(std::size_t max_stored) : max_stored_(max_stored) {}
+Auditor::Auditor(stats::MetricsRegistry* metrics, std::size_t max_stored)
+    : metrics_(metrics), max_stored_(max_stored) {
+  // Seed the total counter so an audited-and-clean run still exports it.
+  if (metrics_ != nullptr) metrics_->counter("audit.violations");
+}
 
 void Auditor::report(Code code, double time, std::string subject, std::string message) {
   ++total_;
@@ -63,18 +67,6 @@ json::Value Auditor::to_json() const {
   root.set("violations", json::Value(std::move(stored)));
   root.set("truncated", stored_.size() < total_);
   return json::Value(std::move(root));
-}
-
-void Auditor::set_metrics(stats::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  // Seed the total counter so an audited-and-clean run still exports it.
-  metrics_->counter("audit.violations");
-  for (const auto& [code, n] : counts_) {
-    metrics_->counter(std::string("audit.violations.") + to_string(code))
-        .add(static_cast<double>(n));
-    metrics_->counter("audit.violations").add(static_cast<double>(n));
-  }
 }
 
 }  // namespace bbsim::audit

@@ -15,8 +15,8 @@
 /// detection, a subject (task/file/resource name) and a human message with
 /// file:line context (see BBSIM_AUDIT_CHECK in util/error.hpp). The whole
 /// report serialises as deterministic `bbsim.audit.v1` JSON, and per-code
-/// counts are exported through the src/stats metrics subsystem when a
-/// registry is installed.
+/// counts are exported through the src/stats metrics subsystem when the
+/// auditor is built with a registry.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +75,11 @@ class Auditor {
  public:
   static constexpr std::size_t kDefaultMaxStored = 256;
 
-  explicit Auditor(std::size_t max_stored = kDefaultMaxStored);
+  /// With `metrics`, violation counts are published as `audit.violations`
+  /// (total, exported even when it stays zero) plus
+  /// `audit.violations.<code>` per code seen.
+  explicit Auditor(stats::MetricsRegistry* metrics = nullptr,
+                   std::size_t max_stored = kDefaultMaxStored);
 
   /// Record one violation (the BBSIM_AUDIT_CHECK sink interface).
   void report(Code code, double time, std::string subject, std::string message);
@@ -98,16 +102,12 @@ class Auditor {
   ///     "truncated": bool }
   json::Value to_json() const;
 
-  /// Publish violation counts as metrics: `audit.violations` (total) plus
-  /// `audit.violations.<code>` per code seen. nullptr disables publishing.
-  void set_metrics(stats::MetricsRegistry* metrics);
-
  private:
+  stats::MetricsRegistry* metrics_;
   std::size_t max_stored_;
   std::vector<Violation> stored_;
   std::map<Code, std::size_t> counts_;
   std::size_t total_ = 0;
-  stats::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace bbsim::audit

@@ -14,13 +14,14 @@
 ///                 allocation/release balance (a shadow ledger re-derives
 ///                 occupancy from the event stream and must agree with the
 ///                 service's own accounting, exactly at end of run);
-///   audit_flow_network  the max-min certificate for one converged solve
-///                 (wired as Network's post-solve hook).
+///   SolveProbe    the max-min certificate (audit_flow_network) for every
+///                 converged solve of the flow network.
 ///
 /// Probes are passive: they never mutate the observed layer and never
 /// throw; violations are recorded so an audited run completes and reports
-/// everything at once. exec::Simulation owns the wiring (ExecutionConfig::
-/// audit) because the probes must outlive the run they observe.
+/// everything at once. exec::Simulation owns them (ExecutionConfig::audit)
+/// and hands them to the layers in its observer bundle (obs/sinks.hpp),
+/// because the probes must outlive the run they observe.
 #pragma once
 
 #include <functional>
@@ -89,9 +90,23 @@ class StorageProbe final : public storage::StorageObserver {
 
 /// Certifies one converged max-min allocation: records kFlowOverCapacity /
 /// kFlowNotMaxMin for every violated condition of Network::solve_issues().
-/// Wire as `net.set_post_solve_hook(...)` with the engine clock for
-/// timestamps.
 void audit_flow_network(Auditor& auditor, const flow::Network& net, double now,
                         double tolerance = 1e-6);
+
+/// Runs audit_flow_network after every solve, stamped with the clock.
+class SolveProbe final : public flow::SolveObserver {
+ public:
+  /// `now` supplies the simulated clock for violation timestamps.
+  SolveProbe(Auditor& auditor, std::function<double()> now)
+      : auditor_(auditor), now_(std::move(now)) {}
+
+  void on_solved(const flow::Network& net, int /*rounds*/) override {
+    audit_flow_network(auditor_, net, now_());
+  }
+
+ private:
+  Auditor& auditor_;
+  std::function<double()> now_;
+};
 
 }  // namespace bbsim::audit

@@ -633,6 +633,7 @@ FleetResult FleetSim::run() {
     }
   }
 
+  // The run's instruments, all built here before the first event.
   if (config_.collect_metrics) metrics_ = std::make_unique<stats::MetricsRegistry>();
   if (config_.collect_timeline) {
     timeline_ = std::make_unique<trace::TimelineRecorder>();
@@ -644,10 +645,7 @@ FleetResult FleetSim::run() {
       track_down_nodes_ = timeline_->counter_track("batch.down_nodes", "nodes");
     }
   }
-  if (config_.audit) {
-    auditor_ = std::make_unique<audit::Auditor>();
-    if (metrics_) auditor_->set_metrics(metrics_.get());
-  }
+  if (config_.audit) auditor_ = std::make_unique<audit::Auditor>(metrics_.get());
 
   // Under faults a kill can empty the running set while jobs still wait on
   // a repair -- the queue-plus-outage clause keeps the loop alive until the

@@ -293,13 +293,6 @@ int run_cli(const CliOptions& options) {
   }
   if (options.profile && !options.quiet) print_profile(result);
   if (options.critpath) {
-    if (result.critpath.is_null()) {
-      // The build compiled the hooks out (BBSIM_CRITPATH=OFF).
-      std::fprintf(stderr,
-                   "bbsim_run: --critpath requested but this build has no "
-                   "critpath hooks (reconfigure with -DBBSIM_CRITPATH=ON)\n");
-      return 1;
-    }
     if (!options.quiet) print_critpath(result);
     if (!options.critpath_path.empty()) {
       json::write_file(options.critpath_path, result.critpath);
@@ -309,13 +302,6 @@ int run_cli(const CliOptions& options) {
     }
   }
   if (options.audit) {
-    if (result.audit.is_null()) {
-      // The build compiled the hooks out (BBSIM_AUDIT=OFF).
-      std::fprintf(stderr,
-                   "bbsim_run: --audit requested but this build has no audit "
-                   "hooks (reconfigure with -DBBSIM_AUDIT=ON)\n");
-      return 1;
-    }
     std::size_t violations = 0;
     for (const exec::Result& r : all_results) violations += r.audit_violations;
     if (!options.audit_path.empty()) {

@@ -101,8 +101,8 @@ struct TaskTrace {
 
 /// Run-time event sink. Nullable-observer like stats::MetricsRegistry and
 /// trace::TimelineRecorder: the engine holds a pointer that is null unless
-/// `--critpath` is on, and every call site is wrapped in BBSIM_CRITPATH_HOOK
-/// so a -DBBSIM_CRITPATH=OFF build compiles the calls out entirely.
+/// `--critpath` is on, so a run without it pays one pointer test per hooked
+/// event.
 class Recorder {
  public:
   void record_ready(const std::string& task, double time, ReadyCause cause);

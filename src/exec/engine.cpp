@@ -36,67 +36,49 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
                        ExecutionConfig config)
     : workflow_(workflow),
       config_(std::move(config)),
-      fabric_(std::move(platform)),
+      fabric_(std::move(platform), make_sinks()),
       storage_(fabric_) {
   if (!config_.placement) config_.placement = all_bb_policy();
   workflow_.validate();
-  if (config_.collect_metrics) {
-    metrics_ = std::make_unique<stats::MetricsRegistry>();
-    fabric_.engine().set_metrics(metrics_.get());
-    fabric_.flows().set_metrics(metrics_.get());
-    storage_.set_metrics(metrics_.get());
-  }
-  if (config_.collect_timeline) {
-    timeline_rec_ = std::make_unique<trace::TimelineRecorder>();
+  if (timeline_rec_) {
     std::vector<std::string> host_names;
     host_names.reserve(fabric_.spec().hosts.size());
     for (const auto& h : fabric_.spec().hosts) host_names.push_back(h.name);
     timeline_rec_->set_host_names(std::move(host_names));
-    fabric_.engine().set_timeline(timeline_rec_.get());
-    fabric_.flows().set_timeline(timeline_rec_.get());
-    storage_.set_timeline(timeline_rec_.get());
   }
-  if (config_.collect_metrics || config_.collect_timeline) {
-    // One achieved-bandwidth group per storage service (its read + write
-    // disk channels): the time-resolved Figure 9 signal, published into
-    // the metrics registry and/or the timeline by the flow manager.
-    for (std::size_t s = 0; s < fabric_.spec().storage.size(); ++s) {
-      const auto& res = fabric_.storage_resources(s);
-      std::vector<flow::ResourceId> group(res.disk_read);
-      group.insert(group.end(), res.disk_write.begin(), res.disk_write.end());
-      fabric_.flows().register_bandwidth_group(fabric_.spec().storage[s].name,
-                                               std::move(group));
-    }
+  if (profiler_) placement_profile_ = profiler_->section("exec.placement");
+  if (config_.critpath) critpath_ = std::make_unique<critpath::Recorder>();
+}
+
+obs::Sinks Simulation::make_sinks() {
+  obs::Sinks sinks;
+  if (config_.collect_metrics) {
+    metrics_ = std::make_unique<stats::MetricsRegistry>();
+    sinks.metrics = metrics_.get();
+  }
+  if (config_.collect_timeline) {
+    timeline_rec_ = std::make_unique<trace::TimelineRecorder>();
+    sinks.timeline = timeline_rec_.get();
   }
   if (config_.profile) {
     profiler_ = std::make_unique<trace::Profiler>();
-    fabric_.engine().set_profiler(profiler_.get());
-    fabric_.flows().set_profiler(profiler_.get());
-    placement_profile_ = profiler_->section("exec.placement");
+    sinks.profiler = profiler_.get();
   }
-#if defined(BBSIM_AUDIT_ENABLED)
   if (config_.audit) {
-    auditor_ = std::make_unique<audit::Auditor>();
+    auditor_ = std::make_unique<audit::Auditor>(metrics_.get());
+    // The probes read the clock only once events run, after fabric_ exists.
+    const auto now = [this] { return fabric_.engine().now(); };
     engine_probe_ = std::make_unique<audit::EngineProbe>(*auditor_);
-    storage_probe_ = std::make_unique<audit::StorageProbe>(
-        *auditor_, [this] { return fabric_.engine().now(); });
+    storage_probe_ = std::make_unique<audit::StorageProbe>(*auditor_, now);
+    solve_probe_ = std::make_unique<audit::SolveProbe>(*auditor_, now);
     for (const std::string& f : workflow_.file_names()) {
       storage_probe_->set_expected_size(f, workflow_.file(f).size);
     }
-    fabric_.engine().set_observer(engine_probe_.get());
-    storage_.set_observer(storage_probe_.get());
-    fabric_.flows().network().set_post_solve_hook(
-        [this](const flow::Network& net, int /*rounds*/) {
-          audit::audit_flow_network(*auditor_, net, fabric_.engine().now());
-        });
-    if (metrics_) auditor_->set_metrics(metrics_.get());
+    sinks.engine_observer = engine_probe_.get();
+    sinks.storage_observer = storage_probe_.get();
+    sinks.solve_observer = solve_probe_.get();
   }
-#endif
-#if defined(BBSIM_CRITPATH_ENABLED)
-  if (config_.critpath) {
-    critpath_ = std::make_unique<critpath::Recorder>();
-  }
-#endif
+  return sinks;
 }
 
 void Simulation::bump(const char* counter_name, double delta) {
@@ -202,11 +184,11 @@ void Simulation::prepare() {
       st.record.t_ready = fabric_.engine().now();
       enqueue_ready(name);
       trace(TraceEventKind::TaskReady, name);
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
+      if (critpath_) {
         critpath_->record_ready(
             name, st.record.t_ready,
             {critpath::ReadyCause::Kind::kWorkflowStart, {}});
-      });
+      }
     }
   }
   setup_resil();
@@ -315,9 +297,7 @@ void Simulation::start_task(TaskState& ts, std::size_t host) {
     const double delay = config_.checkpoint.restart_latency;
     if (delay > 0.0) {
       // Restart overhead: re-launch plus reading the checkpoint image back.
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
-        critpath_->record_restart_delay(ts.task->name, delay);
-      });
+      if (critpath_) critpath_->record_restart_delay(ts.task->name, delay);
       ts.event_pending = true;
       ts.pending_event = fabric_.engine().schedule_in(delay, [this, &ts] {
         ts.event_pending = false;
@@ -455,10 +435,10 @@ void Simulation::issue_reads(TaskState& ts) {
     last_access_[fname] = fabric_.engine().now();  // LRU bookkeeping
     const storage::FileRef file{fname, workflow_.file(fname).size};
     ts.record.bytes_read += file.size;
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_read_bytes(ts.task->name, file.size,
                                    src != &storage_.pfs());
-    });
+    }
     if (metrics_) {
       // How long this transfer waited in the task's pending queue (the
       // paper's I/O window is `cores` concurrent files).
@@ -591,11 +571,11 @@ void Simulation::take_checkpoint(TaskState& ts) {
         s.checkpoint_bytes_written += bytes;
         s.checkpoint_core_seconds +=
             ts.cores * (fabric_.engine().now() - ts.ckpt_write_start);
-        BBSIM_CRITPATH_HOOK(if (critpath_) {
+        if (critpath_) {
           critpath_->record_ckpt_stall(
               ts.task->name, fabric_.engine().now() - ts.ckpt_write_start,
               to_bb);
-        });
+        }
         if (to_bb) {
           // Asynchronous drain: the image only protects against node loss
           // once its PFS copy exists; compute resumes immediately.
@@ -681,10 +661,10 @@ void Simulation::issue_writes(TaskState& ts) {
         tier == Tier::BurstBuffer ? *storage_.burst_buffer() : storage_.pfs();
     const storage::FileRef file{fname, workflow_.file(fname).size};
     ts.record.bytes_written += file.size;
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_write_bytes(ts.task->name, file.size,
                                     tier == Tier::BurstBuffer);
-    });
+    }
     if (metrics_) {
       metrics_->histogram("flow.queue_wait_seconds")
           .record(fabric_.engine().now() - ts.record.t_compute_done);
@@ -738,11 +718,11 @@ void Simulation::finish_task(TaskState& ts) {
       cs.record.t_ready = fabric_.engine().now();
       enqueue_ready(child);
       trace(TraceEventKind::TaskReady, child);
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
+      if (critpath_) {
         critpath_->record_ready(
             child, cs.record.t_ready,
             {critpath::ReadyCause::Kind::kParent, ts.task->name});
-      });
+      }
     }
   }
   if (tasks_remaining_ == 0 && config_.stage_out) {
@@ -992,10 +972,10 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   resil::TaskResil& tr = stats.tasks[ts.task->name];
   ++tr.kills;
   tr.lost_core_seconds += lost;
-  BBSIM_CRITPATH_HOOK(if (critpath_) {
+  if (critpath_) {
     critpath_->record_abort(ts.task->name, ts.record.t_ready,
                             ts.record.t_start, now);
-  });
+  }
   if (ts.event_pending) {
     fabric_.engine().cancel(ts.pending_event);
     ts.event_pending = false;
@@ -1031,10 +1011,10 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
     ts.record.t_ready = now;
     enqueue_ready(ts.task->name);
     trace(TraceEventKind::TaskReady, ts.task->name);
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
                               {critpath::ReadyCause::Kind::kRequeue, {}});
-    });
+    }
   } else {
     ts.ready = false;
   }
@@ -1058,12 +1038,12 @@ void Simulation::rollback_task(TaskState& ts) {
   ++ts.attempt;
   ts.ckpt_durable = 0.0;  // its checkpoints were deleted when it finished
   ts.compute_done = 0.0;
-  BBSIM_CRITPATH_HOOK(if (critpath_) {
+  if (critpath_) {
     // The completed attempt (and the dead time until this crash) becomes
     // rework on the causal chain.
     critpath_->record_abort(ts.task->name, ts.record.t_ready,
                             ts.record.t_start, now);
-  });
+  }
   ts.record.bytes_read = 0.0;
   ts.record.bytes_written = 0.0;
   trace(TraceEventKind::Rollback, ts.task->name,
@@ -1093,10 +1073,10 @@ void Simulation::rollback_task(TaskState& ts) {
     ts.record.t_ready = now;
     enqueue_ready(ts.task->name);
     trace(TraceEventKind::TaskReady, ts.task->name);
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
                               {critpath::ReadyCause::Kind::kRollback, {}});
-    });
+    }
   } else {
     ts.ready = false;
   }
@@ -1334,9 +1314,7 @@ Result Simulation::run() {
     chain->files = &staged_files_;
     pump_stage_chain(chain);
     fabric_.engine().run();
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
-      critpath_->record_implicit_stage(0.0, fabric_.engine().now());
-    });
+    if (critpath_) critpath_->record_implicit_stage(0.0, fabric_.engine().now());
     // Inputs are now placed; continue with the normal preparation, but make
     // sure prepare() does not re-register/re-stage.
     auto placement_backup = config_.placement;

@@ -35,6 +35,7 @@
 #include "exec/pinning.hpp"
 #include "exec/trace.hpp"
 #include "model/calibration.hpp"
+#include "obs/sinks.hpp"
 #include "platform/fabric.hpp"
 #include "resil/fault.hpp"
 #include "sim/engine.hpp"
@@ -105,15 +106,13 @@ struct ExecutionConfig {
   /// simulation, the flow network is certified max-min fair after every
   /// solve, and the finished Result is cross-checked. Violations are
   /// collected (never thrown) and exported as Result::audit (schema
-  /// bbsim.audit.v1). Requires a build with BBSIM_AUDIT=ON (the default);
-  /// ignored otherwise.
+  /// bbsim.audit.v1).
   bool audit = false;
   /// Record the causal event graph (readiness causes, aborted attempts,
   /// per-tier byte mixes, checkpoint stalls) into a critpath::Recorder and
   /// run the post-run critical-path / blame-attribution pass, exported as
-  /// Result::critpath (schema bbsim.critpath.v1). Requires a build with
-  /// BBSIM_CRITPATH=ON (the default); ignored otherwise. Off by default:
-  /// a run without it is bitwise-identical to one predating the layer.
+  /// Result::critpath (schema bbsim.critpath.v1). Off by default: a run
+  /// without it is bitwise-identical to one predating the layer.
   bool critpath = false;
   /// Multiplier applied to every compute duration (testbed noise hook).
   std::function<double(const wf::Task&, std::size_t host)> compute_noise;
@@ -146,11 +145,9 @@ class Simulation {
   trace::TimelineRecorder* timeline_recorder() { return timeline_rec_.get(); }
   /// The live wall-clock profiler; nullptr unless config.profile.
   trace::Profiler* profiler() { return profiler_.get(); }
-  /// The live invariant auditor; nullptr unless config.audit (or when the
-  /// build compiled the hooks out, BBSIM_AUDIT=OFF).
+  /// The live invariant auditor; nullptr unless config.audit.
   audit::Auditor* auditor() { return auditor_.get(); }
-  /// The live critical-path recorder; nullptr unless config.critpath (or
-  /// when the build compiled the hooks out, BBSIM_CRITPATH=OFF).
+  /// The live critical-path recorder; nullptr unless config.critpath.
   critpath::Recorder* critpath_recorder() { return critpath_.get(); }
 
   /// Runs to completion and returns the records. Callable once.
@@ -194,18 +191,21 @@ class Simulation {
 
   wf::Workflow workflow_;
   ExecutionConfig config_;
-  platform::Fabric fabric_;
-  storage::StorageSystem storage_;
+  // The instruments of the observer bundle (make_sinks). Declared before
+  // fabric_ so they are built before every layer and outlive them all.
   std::unique_ptr<stats::MetricsRegistry> metrics_;  ///< set iff collect_metrics
   std::unique_ptr<trace::TimelineRecorder> timeline_rec_;  ///< iff collect_timeline
   std::unique_ptr<trace::Profiler> profiler_;              ///< iff profile
-  trace::ProfileSection* placement_profile_ = nullptr;     ///< iff profile
-  // Invariant auditing (set iff config.audit and the build has the hooks).
+  // Invariant auditing (set iff config.audit).
   std::unique_ptr<audit::Auditor> auditor_;
   std::unique_ptr<audit::EngineProbe> engine_probe_;
   std::unique_ptr<audit::StorageProbe> storage_probe_;
-  /// Causal event recorder (set iff config.critpath and the build has the
-  /// hooks). Every call site is wrapped in BBSIM_CRITPATH_HOOK.
+  std::unique_ptr<audit::SolveProbe> solve_probe_;
+  platform::Fabric fabric_;
+  storage::StorageSystem storage_;
+  trace::ProfileSection* placement_profile_ = nullptr;  ///< iff profile
+  /// Causal event recorder (set iff config.critpath). Only exec records
+  /// into it, so it stays out of the bundle.
   std::unique_ptr<critpath::Recorder> critpath_;
 
   std::map<std::string, TaskState> states_;
@@ -243,6 +243,10 @@ class Simulation {
     bool has_track = false;
   };
   std::unique_ptr<ResilState> resil_;
+
+  /// Build the instruments config_ asks for and return the bundle that
+  /// attaches them (runs before fabric_ is constructed).
+  obs::Sinks make_sinks();
 
   // ------------------------------------------------------------- phases
   void prepare();                 ///< initial placement, pinning, readiness

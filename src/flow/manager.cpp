@@ -20,6 +20,12 @@ double completion_tolerance(const FlowState& st) {
 }
 }  // namespace
 
+FlowManager::FlowManager(sim::Engine& engine, const obs::Sinks& sinks)
+    : engine_(engine), net_(sinks), metrics_(sinks.metrics), timeline_(sinks.timeline) {
+  if (sinks.profiler != nullptr) solve_profile_ = sinks.profiler->section("flow.solve");
+  if (metrics_ != nullptr) transfer_hist_ = &metrics_->histogram("flow.transfer_seconds");
+}
+
 FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   settle();
   const FlowId id = net_.add_flow(std::move(spec));
@@ -56,48 +62,14 @@ void FlowManager::set_capacity(ResourceId id, double capacity) {
   reschedule();
 }
 
-void FlowManager::set_metrics(stats::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  util_series_.clear();
-  net_.set_metrics(metrics);
-  transfer_hist_ =
-      metrics != nullptr ? &metrics->histogram("flow.transfer_seconds") : nullptr;
-  if (transfer_hist_ == nullptr) flow_started_.clear();
-  for (BandwidthGroup& g : bandwidth_groups_) {
-    g.series = metrics != nullptr
-                   ? &metrics->series("storage." + g.name + ".achieved_bandwidth")
-                   : nullptr;
-  }
-}
-
-void FlowManager::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
-  for (BandwidthGroup& g : bandwidth_groups_) {
-    g.track_ready = timeline_ != nullptr;
-    if (timeline_ != nullptr) {
-      g.track = timeline_->counter_track("storage." + g.name + ".achieved_bandwidth",
-                                         "bytes/s");
-    }
-  }
-}
-
-void FlowManager::set_profiler(trace::Profiler* profiler) {
-  solve_profile_ = profiler != nullptr ? profiler->section("flow.solve") : nullptr;
-}
-
 void FlowManager::register_bandwidth_group(const std::string& name,
                                            std::vector<ResourceId> resources) {
   BandwidthGroup g;
   g.name = name;
   g.resources = std::move(resources);
-  if (metrics_ != nullptr) {
-    g.series = &metrics_->series("storage." + name + ".achieved_bandwidth");
-  }
-  if (timeline_ != nullptr) {
-    g.track = timeline_->counter_track("storage." + name + ".achieved_bandwidth",
-                                       "bytes/s");
-    g.track_ready = true;
-  }
+  const std::string signal = "storage." + name + ".achieved_bandwidth";
+  if (metrics_ != nullptr) g.series = &metrics_->series(signal);
+  if (timeline_ != nullptr) g.track = timeline_->counter_track(signal, "bytes/s");
   bandwidth_groups_.push_back(std::move(g));
 }
 
@@ -161,14 +133,14 @@ void FlowManager::settle() {
   // (bytes actually moved / dt, not the allocated rate): the time-resolved
   // per-storage throughput the paper's Figure 9 plots.
   for (BandwidthGroup& g : bandwidth_groups_) {
-    if (g.series == nullptr && !g.track_ready) continue;
+    if (g.series == nullptr && timeline_ == nullptr) continue;
     double bytes = 0.0;
     for (const ResourceId r : g.resources) {
       if (r < res_bytes_.size()) bytes += res_bytes_[r];
     }
     const double bandwidth = bytes / dt;
     if (g.series != nullptr) g.series->sample(now, bandwidth, dt);
-    if (g.track_ready) timeline_->counter_sample(g.track, now, bandwidth);
+    if (timeline_ != nullptr) timeline_->counter_sample(g.track, now, bandwidth);
   }
 
   for (const ResourceId r : touched_) {

@@ -19,7 +19,6 @@
 namespace bbsim::trace {
 class TimelineRecorder;
 struct ProfileSection;
-class Profiler;
 }  // namespace bbsim::trace
 
 namespace bbsim::flow {
@@ -29,8 +28,15 @@ using CompletionHandler = std::function<void()>;
 
 class FlowManager {
  public:
-  /// The engine must outlive the manager.
-  explicit FlowManager(sim::Engine& engine) : engine_(engine) {}
+  /// The engine must outlive the manager. `sinks` attaches the network's
+  /// instruments plus the manager's own: per-resource utilization
+  /// (`flow.util.<resource>`, sampled at every settle point and weighted by
+  /// the interval length, so the series' mean is the time-weighted
+  /// utilization), a `flow.transfer_seconds` histogram of completed-flow
+  /// durations, per-flow transfer spans (begin / allocated-rate changes /
+  /// end) and the "flow.solve" profiler section. Producers should set
+  /// FlowSpec::label when a timeline is attached.
+  explicit FlowManager(sim::Engine& engine, const obs::Sinks& sinks = {});
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
 
@@ -70,29 +76,11 @@ class FlowManager {
   /// Re-runs the solver invariant checks (test hook).
   void check_invariants() const { net_.check_invariants(); }
 
-  /// Publish flow metrics: forwards to the network (solver counters) and
-  /// samples per-resource utilization (`flow.util.<resource>`) at every
-  /// settle point, weighted by the interval length so the series' mean is
-  /// the time-weighted utilization. nullptr disables publishing. Also
-  /// records a `flow.transfer_seconds` histogram of completed-flow
-  /// durations.
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Publish per-flow transfer spans (begin / allocated-rate changes / end)
-  /// into `timeline`; nullptr disables (the default). Producers should set
-  /// FlowSpec::label when a timeline is installed (see has_timeline()).
-  void set_timeline(trace::TimelineRecorder* timeline);
-  bool has_timeline() const { return timeline_ != nullptr; }
-
-  /// Aggregate wall-clock solver cost ("flow.solve") into `profiler`;
-  /// nullptr disables (the default).
-  void set_profiler(trace::Profiler* profiler);
-
   /// Declare a named group of resources whose combined throughput is one
   /// achieved-bandwidth signal (one group per storage service: its disk
   /// read + write channels). Every settle interval with dt > 0 samples
   /// `storage.<name>.achieved_bandwidth` (bytes/s, dt-weighted) into the
-  /// metrics registry and, when a timeline is installed, the counter track
+  /// metrics registry and, when a timeline is attached, the counter track
   /// of the same name -- the time-resolved Figure 9 signal.
   void register_bandwidth_group(const std::string& name,
                                 std::vector<ResourceId> resources);
@@ -107,7 +95,7 @@ class FlowManager {
   /// Per-resource settle scratch, reused across calls so the per-event cost
   /// is O(active flows + touched resources), not O(all resources) plus an
   /// allocation. Entries outside touched_ are always zero. Exception: with
-  /// a metrics registry installed, utilization sampling still visits every
+  /// a metrics registry attached, utilization sampling still visits every
   /// finite-capacity resource per settle interval (the series' time-weighted
   /// mean needs a sample even at zero utilization), so that path is
   /// O(all resources).
@@ -124,7 +112,7 @@ class FlowManager {
   trace::ProfileSection* solve_profile_ = nullptr;
   stats::Histogram* transfer_hist_ = nullptr;
   /// Flow start times for the transfer-duration histogram; maintained only
-  /// while a metrics registry is installed.
+  /// when a metrics registry is attached.
   std::unordered_map<FlowId, sim::Time> flow_started_;
 
   struct BandwidthGroup {
@@ -132,7 +120,6 @@ class FlowManager {
     std::vector<ResourceId> resources;
     stats::TimeSeries* series = nullptr;  ///< when metrics are on
     std::size_t track = 0;                ///< when a timeline is on
-    bool track_ready = false;
   };
   std::vector<BandwidthGroup> bandwidth_groups_;
 

@@ -18,6 +18,15 @@ std::string capacity_violation(double capacity) {
 }
 }  // namespace
 
+Network::Network(const obs::Sinks& sinks) : solve_observer_(sinks.solve_observer) {
+  if (sinks.metrics == nullptr) return;
+  solve_calls_ = &sinks.metrics->counter("flow.solve_calls");
+  solve_rounds_ = &sinks.metrics->counter("flow.solve_rounds");
+  flows_resolved_ = &sinks.metrics->counter("flow.solve_flows_resolved");
+  active_flows_ = &sinks.metrics->gauge("flow.active_flows");
+  rounds_hist_ = &sinks.metrics->histogram("flow.solve_rounds_per_call");
+}
+
 ResourceId Network::add_resource(std::string name, double capacity) {
   BBSIM_ASSERT(capacity >= 0 && !std::isnan(capacity),
                "resource '" + name + "': " + capacity_violation(capacity));
@@ -46,22 +55,6 @@ void Network::set_capacity(ResourceId id, double capacity) {
   if (res.capacity == capacity) return;  // NOLINT(bbsim-float-equality)
   res.capacity = capacity;
   mark_resource_dirty(id);
-}
-
-void Network::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    solve_calls_ = nullptr;
-    solve_rounds_ = nullptr;
-    flows_resolved_ = nullptr;
-    active_flows_ = nullptr;
-    rounds_hist_ = nullptr;
-    return;
-  }
-  solve_calls_ = &metrics->counter("flow.solve_calls");
-  solve_rounds_ = &metrics->counter("flow.solve_rounds");
-  flows_resolved_ = &metrics->counter("flow.solve_flows_resolved");
-  active_flows_ = &metrics->gauge("flow.active_flows");
-  rounds_hist_ = &metrics->histogram("flow.solve_rounds_per_call");
 }
 
 void Network::mark_resource_dirty(ResourceId r) {
@@ -287,7 +280,7 @@ int Network::solve() {
     flows_resolved_->add(static_cast<double>(closure_flows_.size()));
   }
   if (rounds_hist_ != nullptr) rounds_hist_->record(static_cast<double>(rounds));
-  BBSIM_AUDIT_HOOK(if (post_solve_) post_solve_(*this, rounds));
+  if (solve_observer_ != nullptr) solve_observer_->on_solved(*this, rounds);
   return rounds;
 }
 

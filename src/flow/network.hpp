@@ -31,11 +31,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "stats/metrics.hpp"
 #include "util/error.hpp"
 
@@ -87,14 +87,25 @@ struct SolveIssue {
   std::string what;
 };
 
-/// Invoked after every solve() with the converged network and the round
-/// count -- the audit hook verifying each allocation's fairness certificate.
-using PostSolveHook = std::function<void(const class Network&, int rounds)>;
+class Network;
+
+/// Observer of every converged solve(), for invariant auditing (src/audit
+/// attaches one that certifies each allocation max-min fair). Fires inline
+/// with the network and the round count; implementations must not mutate
+/// the network.
+class SolveObserver {
+ public:
+  virtual ~SolveObserver() = default;
+  virtual void on_solved(const Network& net, int rounds) = 0;
+};
 
 /// The set of resources and active flows, with the max-min solver.
 class Network {
  public:
-  Network() = default;
+  /// Attaches the bundle's solver instruments: metrics (solve calls and
+  /// rounds, active-flow high-water mark, flows re-solved per call) and
+  /// the solve observer. Null fields stay off.
+  explicit Network(const obs::Sinks& sinks = {});
 
   /// Create a resource; `capacity` in bytes/second (kUnlimited allowed).
   ResourceId add_resource(std::string name, double capacity);
@@ -158,11 +169,6 @@ class Network {
   /// by the total number of flows ever created.
   std::size_t id_table_size() const { return id_to_index_.size(); }
 
-  /// Publish solver metrics (solve calls/rounds, active-flow high-water
-  /// mark, flows re-solved per call) into `metrics`; nullptr disables
-  /// publishing (the default).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
   // ------------------------------------------------------- invariant checks
   /// Returns every violated solver invariant: resources over capacity
   /// (feasibility) and flows below their cap with no saturated bottleneck
@@ -176,11 +182,6 @@ class Network {
   /// Throwing form of solve_issues(): raises InvariantError on the first
   /// violation. Used by tests and debug builds.
   void check_invariants(double tolerance = 1e-6) const;
-
-  /// Install a hook invoked after every solve() (nullptr/default-empty
-  /// disables). The audit layer uses it to certify each converged
-  /// allocation; call sites compile out when BBSIM_AUDIT=OFF.
-  void set_post_solve_hook(PostSolveHook hook) { post_solve_ = std::move(hook); }
 
  private:
   static constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
@@ -230,7 +231,7 @@ class Network {
   std::vector<ResourceId> closure_res_;       // resource ids, ascending
   std::vector<std::size_t> to_freeze_;
 
-  PostSolveHook post_solve_;
+  SolveObserver* solve_observer_ = nullptr;
 
   // Optional metrics sinks (cached so solve() skips the name lookups).
   stats::Counter* solve_calls_ = nullptr;

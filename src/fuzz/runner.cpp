@@ -16,8 +16,7 @@ namespace bbsim::fuzz {
 
 namespace {
 
-/// The critpath invariant battery (BBSIM_CRITPATH builds only; a no-op
-/// otherwise). A twin run with the recorder on must
+/// The critpath invariant battery. A twin run with the recorder on must
 ///   1. change nothing except adding the "critpath" section (the
 ///      nullable-observer off-identity, seen from the on side);
 ///   2. produce a path whose length and per-class blame total both equal
@@ -31,7 +30,6 @@ namespace {
 void check_critpath_battery(const Scenario& scenario,
                             const exec::ExecutionConfig& base_cfg,
                             const std::string& base_dump, RunOutcome& out) {
-#if defined(BBSIM_CRITPATH_ENABLED)
   auto fail = [&out](const char* field, const std::string& what, double engine,
                      double reference) {
     out.diverged = true;
@@ -88,12 +86,6 @@ void check_critpath_battery(const Scenario& scenario,
   } catch (const util::Error& e) {
     fail("critpath.exception", e.what(), 1.0, 0.0);
   }
-#else
-  (void)scenario;
-  (void)base_cfg;
-  (void)base_dump;
-  (void)out;
-#endif
 }
 
 /// The resil invariant battery (the oracle models no faults, so a faulty

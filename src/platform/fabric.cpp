@@ -4,7 +4,8 @@
 
 namespace bbsim::platform {
 
-Fabric::Fabric(PlatformSpec spec) : spec_(std::move(spec)), flows_(engine_) {
+Fabric::Fabric(PlatformSpec spec, const obs::Sinks& sinks)
+    : spec_(std::move(spec)), sinks_(sinks), engine_(sinks), flows_(engine_, sinks) {
   spec_.validate_and_normalize();
   flow::Network& net = flows_.network();
 
@@ -27,6 +28,11 @@ Fabric::Fabric(PlatformSpec spec) : spec_(std::move(spec)), flows_(engine_) {
       r.link_down.push_back(net.add_resource(base + ".link_down", s.link.bandwidth));
     }
     r.metadata = net.add_resource(s.name + ".metadata", s.metadata_ops_per_sec);
+    if (sinks.metrics != nullptr || sinks.timeline != nullptr) {
+      std::vector<flow::ResourceId> group(r.disk_read);
+      group.insert(group.end(), r.disk_write.begin(), r.disk_write.end());
+      flows_.register_bandwidth_group(s.name, std::move(group));
+    }
     storage_res_.push_back(std::move(r));
   }
 }

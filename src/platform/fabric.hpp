@@ -8,12 +8,17 @@
 //   - per storage service: one metadata resource (ops/second)
 //
 // Storage services (src/storage) compose these ids into operation paths.
+//
+// The fabric is also where a run's observer bundle (obs/sinks.hpp) enters
+// the stack: it attaches the bundle to its engine and flow manager, and the
+// storage services built on the fabric read it from sinks().
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "flow/manager.hpp"
+#include "obs/sinks.hpp"
 #include "platform/spec.hpp"
 #include "sim/engine.hpp"
 
@@ -36,14 +41,19 @@ struct HostResources {
 
 class Fabric {
  public:
-  /// Validates the spec and builds all resources at time zero.
-  explicit Fabric(PlatformSpec spec);
+  /// Validates the spec and builds all resources at time zero. With a
+  /// metrics registry or a timeline in `sinks`, each storage service's disk
+  /// read + write channels also form one achieved-bandwidth group (the
+  /// time-resolved Figure 9 signal, see FlowManager).
+  explicit Fabric(PlatformSpec spec, const obs::Sinks& sinks = {});
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   sim::Engine& engine() { return engine_; }
   flow::FlowManager& flows() { return flows_; }
   const PlatformSpec& spec() const { return spec_; }
+  /// The observer bundle this fabric's stack publishes into.
+  const obs::Sinks& sinks() const { return sinks_; }
 
   const HostResources& host_resources(std::size_t host_idx) const;
   const StorageResources& storage_resources(std::size_t storage_idx) const;
@@ -55,6 +65,7 @@ class Fabric {
 
  private:
   PlatformSpec spec_;
+  obs::Sinks sinks_;
   sim::Engine engine_;
   flow::FlowManager flows_;
   std::vector<HostResources> host_res_;

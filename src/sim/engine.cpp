@@ -9,29 +9,18 @@
 
 namespace bbsim::sim {
 
-void Engine::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    events_scheduled_ = nullptr;
-    events_executed_ = nullptr;
-    events_cancelled_ = nullptr;
-    queue_depth_ = nullptr;
-    return;
+Engine::Engine(const obs::Sinks& sinks)
+    : observer_(sinks.engine_observer), timeline_(sinks.timeline) {
+  if (sinks.metrics != nullptr) {
+    events_scheduled_ = &sinks.metrics->counter("sim.events_scheduled");
+    events_executed_ = &sinks.metrics->counter("sim.events_executed");
+    events_cancelled_ = &sinks.metrics->counter("sim.events_cancelled");
+    queue_depth_ = &sinks.metrics->gauge("sim.queue_depth");
   }
-  events_scheduled_ = &metrics->counter("sim.events_scheduled");
-  events_executed_ = &metrics->counter("sim.events_executed");
-  events_cancelled_ = &metrics->counter("sim.events_cancelled");
-  queue_depth_ = &metrics->gauge("sim.queue_depth");
-}
-
-void Engine::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
   if (timeline_ != nullptr) {
     queue_track_ = timeline_->counter_track("sim.queue_depth", "events");
   }
-}
-
-void Engine::set_profiler(trace::Profiler* profiler) {
-  dispatch_profile_ = profiler != nullptr ? profiler->section("sim.dispatch") : nullptr;
+  if (sinks.profiler != nullptr) dispatch_profile_ = sinks.profiler->section("sim.dispatch");
 }
 
 EventId Engine::schedule_at(Time t, EventHandler fn) {
@@ -51,7 +40,7 @@ EventId Engine::schedule_at(Time t, EventHandler fn) {
   const EventId id = next_id_++;
   queue_.push(EventRecord{t, next_seq_++, id});
   handlers_.emplace(id, std::move(fn));
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_scheduled(id, now_, t));
+  if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
   if (events_scheduled_ != nullptr) {
     events_scheduled_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));
@@ -76,7 +65,7 @@ bool Engine::cancel(EventId id) {
         [this](EventId eid) { return handlers_.count(eid) != 0; });
     tombstones_ = 0;
   }
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_cancelled(id));
+  if (observer_ != nullptr) observer_->on_cancelled(id);
   if (events_cancelled_ != nullptr) {
     events_cancelled_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));
@@ -104,7 +93,7 @@ void Engine::execute(const EventRecord& r) {
   EventHandler fn = std::move(it->second);
   handlers_.erase(it);
   ++executed_;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_executed(r.id, r.time));
+  if (observer_ != nullptr) observer_->on_executed(r.id, r.time);
   if (events_executed_ != nullptr) {
     events_executed_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));

@@ -20,19 +20,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "sim/event_queue.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::stats {
 class Counter;
 class Gauge;
-class MetricsRegistry;
 }  // namespace bbsim::stats
 
 namespace bbsim::trace {
-class TimelineRecorder;
 struct ProfileSection;
-class Profiler;
 }  // namespace bbsim::trace
 
 namespace bbsim::sim {
@@ -42,9 +40,8 @@ namespace bbsim::sim {
 using EventHandler = std::function<void()>;
 
 /// Observer of the engine's event lifecycle, for invariant auditing
-/// (src/audit installs one when auditing is on). Callbacks fire inline on
-/// the simulation path; implementations must not mutate the engine. The
-/// call sites compile out entirely when BBSIM_AUDIT=OFF.
+/// (src/audit attaches one when auditing is on). Callbacks fire inline on
+/// the simulation path; implementations must not mutate the engine.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -64,7 +61,12 @@ class EngineObserver {
 ///   e.run();
 class Engine {
  public:
-  Engine() = default;
+  /// Attaches the bundle's engine instruments: metrics (events scheduled /
+  /// executed / cancelled, pending-queue high-water mark), an event-queue
+  /// depth timeline track, the "sim.dispatch" profiler section and the
+  /// lifecycle observer. Null fields stay off; the instruments must outlive
+  /// the engine.
+  explicit Engine(const obs::Sinks& sinks = {});
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -76,7 +78,9 @@ class Engine {
   EventId schedule_at(Time t, EventHandler fn);
 
   /// Schedule `fn` after a delay of `dt` seconds (must be >= 0).
-  EventId schedule_in(Time dt, EventHandler fn) { return schedule_at(now_ + dt, fn); }
+  EventId schedule_in(Time dt, EventHandler fn) {
+    return schedule_at(now_ + dt, std::move(fn));
+  }
 
   /// Cancel a pending event. Cancelling an already-fired or already-cancelled
   /// event is a harmless no-op (returns false).
@@ -99,23 +103,6 @@ class Engine {
   /// cancelled events never appear, regardless of whether their queue
   /// tombstones have been discarded yet.
   std::size_t pending_count() const { return handlers_.size(); }
-
-  /// Publish engine metrics (events scheduled / executed / cancelled and the
-  /// pending-queue high-water mark) into `metrics`; nullptr disables
-  /// publishing (the default -- the hot path then pays only a null check).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Install a lifecycle observer (nullptr disables; the default). The
-  /// observer must outlive the engine or be cleared before destruction.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-
-  /// Publish an event-queue-depth counter track into `timeline`; nullptr
-  /// disables (the default). Same opt-in contract as set_metrics.
-  void set_timeline(trace::TimelineRecorder* timeline);
-
-  /// Aggregate wall-clock event-dispatch cost ("sim.dispatch") into
-  /// `profiler`; nullptr disables (the default).
-  void set_profiler(trace::Profiler* profiler);
 
  private:
   Time now_ = 0.0;

@@ -111,7 +111,21 @@ void execute_plan(platform::Fabric& fabric, IoPlan plan, Done done) {
 }
 
 StorageService::StorageService(platform::Fabric& fabric, std::size_t storage_idx)
-    : fabric_(fabric), storage_idx_(storage_idx), spec_(fabric.spec().storage.at(storage_idx)) {}
+    : fabric_(fabric),
+      storage_idx_(storage_idx),
+      spec_(fabric.spec().storage.at(storage_idx)),
+      observer_(fabric.sinks().storage_observer),
+      timeline_(fabric.sinks().timeline) {
+  stats::MetricsRegistry* metrics = fabric.sinks().metrics;
+  if (metrics == nullptr && timeline_ == nullptr) return;
+  const std::string base = "storage." + name() + ".occupancy_bytes";
+  if (metrics != nullptr) {
+    occupancy_gauge_ = &metrics->gauge(base);
+    occupancy_series_ = &metrics->series(base);
+  }
+  if (timeline_ != nullptr) occupancy_track_ = timeline_->counter_track(base, "bytes");
+  sample_occupancy();  // one starting point per attached sink
+}
 
 bool StorageService::has_file(const std::string& file_name) const {
   return replicas_.count(file_name) > 0;
@@ -140,27 +154,6 @@ std::vector<std::string> StorageService::file_names() const {
   return names;
 }
 
-void StorageService::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    occupancy_gauge_ = nullptr;
-    occupancy_series_ = nullptr;
-    return;
-  }
-  const std::string base = "storage." + name() + ".occupancy_bytes";
-  occupancy_gauge_ = &metrics->gauge(base);
-  occupancy_series_ = &metrics->series(base);
-  sample_occupancy();  // establish the timeline's starting point
-}
-
-void StorageService::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    occupancy_track_ =
-        timeline_->counter_track("storage." + name() + ".occupancy_bytes", "bytes");
-    sample_occupancy();  // establish the track's starting point
-  }
-}
-
 void StorageService::sample_occupancy() {
   if (occupancy_gauge_ != nullptr) {
     occupancy_gauge_->set(used_bytes_);
@@ -184,9 +177,9 @@ void StorageService::reserve_capacity(const FileRef& file) {
   }
   used_bytes_ += delta;
   if (used_bytes_ > peak_used_bytes_) peak_used_bytes_ = used_bytes_;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, delta, used_bytes_);
-  });
+  }
   sample_occupancy();
 }
 
@@ -196,7 +189,7 @@ void StorageService::install_replica(const FileRef& file, std::size_t host_idx) 
   rep.node = placement_node(file, host_idx);
   rep.creator_host = host_idx;
   replicas_[file.name] = rep;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_replica_created(*this, file));
+  if (observer_ != nullptr) observer_->on_replica_created(*this, file);
 }
 
 void StorageService::register_file(const FileRef& file, std::size_t host_idx) {
@@ -210,10 +203,10 @@ void StorageService::erase_file(const std::string& file_name) {
   const double size = it->second.size;
   used_bytes_ -= size;
   replicas_.erase(it);
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file_name, -size, used_bytes_);
     observer_->on_replica_erased(*this, file_name, size);
-  });
+  }
   sample_occupancy();
 }
 
@@ -316,9 +309,9 @@ void StorageService::abort_write_reservation(const FileRef& file) {
   const auto it = replicas_.find(file.name);
   if (it != replicas_.end()) delta -= it->second.size;
   used_bytes_ -= delta;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, -delta, used_bytes_);
-  });
+  }
   sample_occupancy();
 }
 

@@ -67,7 +67,7 @@ struct IoPlan {
   std::vector<SubFlow> data;
   double rate_cap = flow::kUnlimited;  ///< per sub-flow ceiling
   /// Timeline annotation for the plan's flows ("read f.fits pfs->host0").
-  /// Empty unless the owning service has a timeline installed.
+  /// Empty unless the owning service has a timeline attached.
   std::string label;
 };
 
@@ -132,9 +132,9 @@ IoHandle execute_plan_cancellable(platform::Fabric& fabric, IoPlan plan, Done do
 class StorageService;
 
 /// Observer of a storage service's capacity accounting and replica
-/// lifecycle, for invariant auditing (src/audit installs one when auditing
+/// lifecycle, for invariant auditing (src/audit attaches one when auditing
 /// is on). Callbacks fire inline; implementations must not mutate the
-/// service. Call sites compile out when BBSIM_AUDIT=OFF.
+/// service.
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;
@@ -161,6 +161,11 @@ class StorageService {
     std::size_t creator_host = 0;  ///< compute node that wrote the file
   };
 
+  /// Attaches the instruments of `fabric.sinks()`: an occupancy time series
+  /// + high-water gauge and a counter track (both
+  /// `storage.<name>.occupancy_bytes`, sampled at every capacity change and
+  /// once at construction), plan labels (IoPlan::label) when a timeline is
+  /// attached, and the capacity/replica observer.
   StorageService(platform::Fabric& fabric, std::size_t storage_idx);
   virtual ~StorageService() = default;
   StorageService(const StorageService&) = delete;
@@ -228,22 +233,6 @@ class StorageService {
   /// Install the testbed's interference hook (nullptr to clear).
   void set_perturbation(PerturbFn fn) { perturb_ = std::move(fn); }
 
-  /// Publish storage metrics: an occupancy timeline + high-water gauge
-  /// (`storage.<name>.occupancy_bytes`) sampled at every capacity change.
-  /// nullptr disables publishing (the default).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Publish an occupancy counter track (`storage.<name>.occupancy_bytes`)
-  /// into `timeline` and start labelling plans (IoPlan::label) so the flow
-  /// layer can annotate transfer spans. nullptr disables (the default).
-  void set_timeline(trace::TimelineRecorder* timeline);
-  /// True when plans should carry labels (a timeline is installed).
-  bool labelling() const { return timeline_ != nullptr; }
-
-  /// Install a capacity/replica lifecycle observer (nullptr disables; the
-  /// default). The observer must outlive the service or be cleared first.
-  void set_observer(StorageObserver* observer) { observer_ = observer; }
-
   /// Bookkeeping for a write planned via plan_write() but executed
   /// externally (fused transfers): begin_external_write reserves capacity
   /// when the data starts moving; complete_external_write registers the
@@ -293,7 +282,7 @@ class StorageService {
   void apply_perturbation(IoPlan& plan, const FileRef& file, bool is_write,
                           std::size_t host_idx) const;
   void reserve_capacity(const FileRef& file);
-  /// Record `used_bytes_` into the occupancy metrics (no-op when disabled).
+  /// Record `used_bytes_` into the occupancy sinks (no-op when none).
   void sample_occupancy();
 };
 

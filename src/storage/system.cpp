@@ -148,16 +148,4 @@ void StorageSystem::set_perturbation(const PerturbFn& fn) {
   for (auto& s : services_) s->set_perturbation(fn);
 }
 
-void StorageSystem::set_metrics(stats::MetricsRegistry* metrics) {
-  for (auto& s : services_) s->set_metrics(metrics);
-}
-
-void StorageSystem::set_timeline(trace::TimelineRecorder* timeline) {
-  for (auto& s : services_) s->set_timeline(timeline);
-}
-
-void StorageSystem::set_observer(StorageObserver* observer) {
-  for (auto& s : services_) s->set_observer(observer);
-}
-
 }  // namespace bbsim::storage

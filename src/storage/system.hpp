@@ -15,7 +15,8 @@ namespace bbsim::storage {
 
 class StorageSystem {
  public:
-  /// Builds one service per StorageSpec in the fabric's platform.
+  /// Builds one service per StorageSpec in the fabric's platform; each
+  /// attaches the fabric's observer bundle (Fabric::sinks()).
   explicit StorageSystem(platform::Fabric& fabric);
   StorageSystem(const StorageSystem&) = delete;
   StorageSystem& operator=(const StorageSystem&) = delete;
@@ -57,15 +58,6 @@ class StorageSystem {
 
   /// Install the same perturbation hook on every service (testbed).
   void set_perturbation(const PerturbFn& fn);
-
-  /// Install the same metrics registry on every service (nullptr disables).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Install the same timeline recorder on every service (nullptr disables).
-  void set_timeline(trace::TimelineRecorder* timeline);
-
-  /// Install the same audit observer on every service (nullptr disables).
-  void set_observer(StorageObserver* observer);
 
  private:
   platform::Fabric& fabric_;

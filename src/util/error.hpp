@@ -79,27 +79,3 @@ class ConfigError : public Error {
           std::string(__FILE__ ":" BBSIM_STRINGIZE(__LINE__) ": ") + (msg)); \
     }                                                                        \
   } while (false)
-
-/// Wraps an audit-hook call site so builds configured with -DBBSIM_AUDIT=OFF
-/// compile the hook out entirely (not even a null-pointer check remains on
-/// the hot path). With the default BBSIM_AUDIT=ON, hooks cost one pointer
-/// test when no observer is installed.
-#if defined(BBSIM_AUDIT_ENABLED)
-#define BBSIM_AUDIT_HOOK(stmt) stmt
-#else
-#define BBSIM_AUDIT_HOOK(stmt) \
-  do {                         \
-  } while (false)
-#endif
-
-/// Same compile-out guard for critical-path recorder call sites:
-/// -DBBSIM_CRITPATH=OFF removes every critpath::Recorder::record_* call
-/// from the engine; the default ON costs one pointer test per event when
-/// no recorder is attached.
-#if defined(BBSIM_CRITPATH_ENABLED)
-#define BBSIM_CRITPATH_HOOK(stmt) stmt
-#else
-#define BBSIM_CRITPATH_HOOK(stmt) \
-  do {                            \
-  } while (false)
-#endif

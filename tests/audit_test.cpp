@@ -9,6 +9,7 @@
 #include "exec/engine.hpp"
 #include "exec/validate.hpp"
 #include "flow/network.hpp"
+#include "obs/sinks.hpp"
 #include "platform/presets.hpp"
 #include "stats/metrics.hpp"
 #include "storage/system.hpp"
@@ -47,7 +48,7 @@ TEST(Auditor, CountsPerCodeExactly) {
 }
 
 TEST(Auditor, StoredSampleIsBoundedButCountsStayExact) {
-  Auditor a(/*max_stored=*/2);
+  Auditor a(/*metrics=*/nullptr, /*max_stored=*/2);
   for (int i = 0; i < 5; ++i) a.report(Code::kEventLifecycle, i, "e", "m");
   EXPECT_EQ(a.total(), 5u);
   EXPECT_EQ(a.count(Code::kEventLifecycle), 5u);
@@ -73,9 +74,9 @@ TEST(Auditor, JsonFollowsSchema) {
 
 TEST(Auditor, PublishesMetricsCounters) {
   stats::MetricsRegistry metrics;
-  Auditor a;
-  a.report(Code::kPrecedence, 1.0, "t", "early");  // before attach: back-filled
-  a.set_metrics(&metrics);
+  Auditor a(&metrics);
+  EXPECT_NE(metrics.find_counter("audit.violations"), nullptr);  // seeded at 0
+  a.report(Code::kPrecedence, 1.0, "t", "early");
   a.report(Code::kPrecedence, 2.0, "t", "again");
   EXPECT_EQ(metrics.counter("audit.violations").value(), 2.0);
   EXPECT_EQ(metrics.counter("audit.violations.precedence").value(), 2.0);
@@ -145,8 +146,9 @@ TEST(EngineProbe, IdReuseWhilePendingIsLifecycleViolation) {
 TEST(EngineProbe, ObservesARealEngineCleanly) {
   Auditor a;
   audit::EngineProbe probe(a);
-  sim::Engine engine;
-  engine.set_observer(&probe);
+  obs::Sinks sinks;
+  sinks.engine_observer = &probe;
+  sim::Engine engine(sinks);
   int fired = 0;
   engine.schedule_at(1.0, [&] { ++fired; });
   const sim::EventId cancelled = engine.schedule_at(2.0, [&] { ++fired; });
@@ -183,12 +185,15 @@ platform::PlatformSpec probe_platform() {
 }
 
 TEST(StorageProbe, CleanLifecycleOnRealServices) {
-  platform::Fabric fabric(probe_platform());
-  storage::StorageSystem sys(fabric);
   Auditor a;
-  audit::StorageProbe probe(a, [&] { return fabric.engine().now(); });
+  platform::Fabric* clock = nullptr;  // the probe reads it once events run
+  audit::StorageProbe probe(a, [&] { return clock->engine().now(); });
   probe.set_expected_size("f", 4000.0);
-  sys.set_observer(&probe);
+  obs::Sinks sinks;
+  sinks.storage_observer = &probe;
+  platform::Fabric fabric(probe_platform(), sinks);
+  clock = &fabric;
+  storage::StorageSystem sys(fabric);
 
   sys.pfs().register_file({"f", 4000.0}, 0);
   bool done = false;
@@ -245,22 +250,19 @@ TEST(StorageProbe, LedgerDivergenceIsAllocationImbalance) {
   EXPECT_EQ(a.count(Code::kAllocationImbalance), 1u);
 }
 
-#if defined(BBSIM_AUDIT_ENABLED)
-// Needs the service-side observer hooks, which -DBBSIM_AUDIT=OFF compiles out.
 TEST(StorageProbe, FinalImbalanceIsReportedPostRun) {
-  platform::Fabric fabric(probe_platform());
-  storage::StorageSystem sys(fabric);
   Auditor a;
-  audit::StorageProbe probe(a, [&] { return fabric.engine().now(); });
+  audit::StorageProbe probe(a, [] { return 0.0; });
+  obs::Sinks sinks;
+  sinks.storage_observer = &probe;
+  platform::Fabric fabric(probe_platform(), sinks);
+  storage::StorageSystem sys(fabric);
 
   // Reserve 100 bytes that never become a replica (a leaked reservation).
-  storage::StorageService& bb = *sys.burst_buffer();
-  bb.set_observer(&probe);
-  bb.begin_external_write({"leak", 100.0});
+  sys.burst_buffer()->begin_external_write({"leak", 100.0});
   probe.finalize();
   EXPECT_GE(a.count(Code::kAllocationImbalance), 1u);
 }
-#endif
 
 // ----------------------------------------------------- max-min certificate
 
@@ -301,18 +303,35 @@ TEST(FlowAudit, StaleAllocationUnderGrownCapacityIsNotMaxMin) {
 }
 
 TEST(FlowAudit, PostSolveHookFiresOnEverySolve) {
-  flow::Network net;
+  struct CountingObserver final : flow::SolveObserver {
+    int calls = 0;
+    void on_solved(const flow::Network&, int) override { ++calls; }
+  } counting;
+  obs::Sinks sinks;
+  sinks.solve_observer = &counting;
+  flow::Network net(sinks);
   const flow::ResourceId r = net.add_resource("disk", 100.0);
-  int calls = 0;
-  net.set_post_solve_hook([&calls](const flow::Network&, int) { ++calls; });
   net.add_flow({1000.0, {r}, flow::kUnlimited, 1.0});
   net.solve();
   net.solve();
-#if defined(BBSIM_AUDIT_ENABLED)
-  EXPECT_EQ(calls, 2);
-#else
-  EXPECT_EQ(calls, 0);  // the hook is compiled out
-#endif
+  EXPECT_EQ(counting.calls, 2);
+}
+
+TEST(FlowAudit, SolveProbeCertifiesAtTheSimulatedClock) {
+  Auditor a;
+  audit::SolveProbe probe(a, [] { return 4.0; });
+  obs::Sinks sinks;
+  sinks.solve_observer = &probe;
+  flow::Network net(sinks);
+  const flow::ResourceId r = net.add_resource("disk", 100.0);
+  net.add_flow({1e9, {r}, flow::kUnlimited, 1.0});
+  net.add_flow({1e9, {r}, flow::kUnlimited, 1.0});
+  net.solve();  // certified through the bundle: a converged solve is fair
+  EXPECT_TRUE(a.clean()) << a.to_json().dump(2);
+  net.set_capacity(r, 60.0);  // stale rates now sum over capacity
+  probe.on_solved(net, 0);
+  ASSERT_EQ(a.count(Code::kFlowOverCapacity), 1u);
+  EXPECT_EQ(a.violations()[0].time, 4.0);
 }
 
 // ------------------------------------------------------ post-run auditing
@@ -381,8 +400,6 @@ TEST(AuditResult, CorruptedRecordsTriggerSpecificCodes) {
 
 // --------------------------------------------------------- end to end
 
-#if defined(BBSIM_AUDIT_ENABLED)
-
 TEST(AuditEndToEnd, SwarpPipelinesRunClean) {
   wf::SwarpConfig wcfg;
   wcfg.pipelines = 2;
@@ -449,8 +466,6 @@ TEST(AuditEndToEnd, MetricsExportAuditCounters) {
   ASSERT_FALSE(r.metrics.is_null());
   EXPECT_EQ(r.metrics.at("counters").at("audit.violations").as_number(), 0.0);
 }
-
-#endif  // BBSIM_AUDIT_ENABLED
 
 }  // namespace
 }  // namespace bbsim

@@ -318,8 +318,6 @@ TEST(CritpathExec, OffByDefaultLeavesNoReportSection) {
   EXPECT_FALSE(r.to_json().contains("critpath"));
 }
 
-#if defined(BBSIM_CRITPATH_ENABLED)
-
 /// The report document with the opt-in "critpath" key removed — the rest
 /// must be bitwise-identical to a run that never had the recorder.
 std::string dump_without_critpath(const Result& r) {
@@ -513,8 +511,6 @@ TEST(CritpathExec, SweepReportByteIdenticalAcrossJobs1And8) {
   EXPECT_NE(serial.find("\"node_crashes\""), std::string::npos);
   EXPECT_EQ(critpath_sweep_dump(/*jobs=*/8), serial);
 }
-
-#endif  // BBSIM_CRITPATH_ENABLED
 
 }  // namespace
 }  // namespace bbsim::critpath

@@ -182,7 +182,6 @@ TEST(Determinism, ResilSweepStableAcrossInvocations) {
   EXPECT_EQ(resil_sweep_dump(8), resil_sweep_dump(8));
 }
 
-#if defined(BBSIM_AUDIT_ENABLED)
 TEST(Determinism, SweepReportUnchangedByAudit) {
   const std::string off = sweep_report_dump(/*jobs=*/2, /*audit=*/false);
   const std::string on = sweep_report_dump(/*jobs=*/2, /*audit=*/true);
@@ -203,7 +202,6 @@ TEST(Determinism, RunReportUnchangedByAudit) {
   EXPECT_EQ(on_stripped, off_stripped);
   EXPECT_EQ(off_stripped, off);
 }
-#endif  // BBSIM_AUDIT_ENABLED
 
 }  // namespace
 }  // namespace bbsim

@@ -6,6 +6,7 @@
 
 #include "flow/manager.hpp"
 #include "flow/network.hpp"
+#include "obs/sinks.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -636,8 +637,9 @@ TEST(IncrementalSolve, SetCapacityRedirtiesItsComponent) {
 
 TEST(IncrementalSolve, ResolvedFlowCounterCountsOnlyTheDirtyComponent) {
   stats::MetricsRegistry metrics;
-  Network net;
-  net.set_metrics(&metrics);
+  obs::Sinks sinks;
+  sinks.metrics = &metrics;
+  Network net(sinks);
   const ResourceId a = net.add_resource("a", 100.0);
   const ResourceId b = net.add_resource("b", 60.0);
   net.add_flow({1.0, {a}});

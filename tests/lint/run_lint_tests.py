@@ -11,31 +11,22 @@ Each ``tests/lint/fixtures/*.cpp`` file is an annotated fixture:
     ``// CHECK: bbsim-check-name[, bbsim-other-check]`` comment;
   * a fixture with no CHECK comments asserts zero diagnostics.
 
-The runner executes a checker backend over each fixture, parses the emitted
-``file:line:col: warning: ... [check]`` diagnostics, and diffs the set of
-(line, check) pairs against the CHECK expectations. Backends:
-
-  --tool mirror      tools/tidy/bbsim_tidy.py (no toolchain needed; default)
-  --tool clang-tidy  clang-tidy -load <plugin>  (requires --plugin)
-  --tool both        run both and require each to match the expectations
-
-With ``--tool clang-tidy`` the fixture is copied into a temp directory at
-its virtual path so that clang-tidy sees the same path the allowlists match
-against. Exit status is non-zero on any mismatch, which is how ctest and
-the CI bbsim-tidy job consume this script.
+The runner executes tools/tidy/bbsim_tidy.py over each fixture, parses the
+emitted ``file:line:col: warning: ... [check]`` diagnostics, and diffs the
+set of (line, check) pairs against the CHECK expectations. Exit status is
+non-zero on any mismatch, which is how the ``lint.fixture.*`` ctests consume
+this script.
 """
 
 import argparse
 import os
 import re
-import shutil
 import subprocess
 import sys
-import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
-MIRROR = os.path.join(REPO, "tools", "tidy", "bbsim_tidy.py")
+CHECKER = os.path.join(REPO, "tools", "tidy", "bbsim_tidy.py")
 
 DIRECTIVE = re.compile(r"bbsim-tidy-fixture:\s*as-path=(\S+)")
 CHECK_RX = re.compile(r"//\s*CHECK:\s*([a-z0-9,\s-]+)")
@@ -70,62 +61,35 @@ def parse_diagnostics(output):
     return found
 
 
-def run_mirror(fixture, as_path):
+def run_checker(fixture, as_path):
     proc = subprocess.run(
-        [sys.executable, MIRROR, "--as-path", as_path, fixture],
+        [sys.executable, CHECKER, "--as-path", as_path, fixture],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode not in (0, 1):
-        raise RuntimeError("mirror failed on %s:\n%s" % (fixture, proc.stderr))
+        raise RuntimeError("bbsim_tidy.py failed on %s:\n%s" % (fixture, proc.stderr))
     return parse_diagnostics(proc.stdout)
-
-
-def run_clang_tidy(fixture, as_path, clang_tidy, plugin):
-    with tempfile.TemporaryDirectory(prefix="bbsim-tidy-") as tmp:
-        staged = os.path.join(tmp, as_path)
-        os.makedirs(os.path.dirname(staged), exist_ok=True)
-        shutil.copyfile(fixture, staged)
-        cmd = [
-            clang_tidy,
-            "-load", plugin,
-            "-checks=-*,bbsim-*",
-            "-warnings-as-errors=",  # report, do not escalate: we diff
-            staged,
-            "--",
-            "-std=c++20",
-        ]
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True)
-        # clang-tidy exits non-zero when warnings were emitted; a compile
-        # error in the fixture itself shows up on stderr.
-        if "error:" in proc.stdout or "Error while processing" in proc.stderr:
-            raise RuntimeError("clang-tidy failed on %s:\n%s\n%s"
-                               % (fixture, proc.stdout, proc.stderr))
-        return parse_diagnostics(proc.stdout)
 
 
 def describe(pairs):
     return ", ".join("line %d [%s]" % p for p in sorted(pairs)) or "(none)"
 
 
-def run_one(fixture, backends, verbose):
+def run_one(fixture, verbose):
     as_path, expected = parse_fixture(fixture)
-    ok = True
-    for name, runner in backends:
-        found = runner(fixture, as_path)
-        missing = expected - found
-        surplus = found - expected
-        if missing or surplus:
-            ok = False
-            print("FAIL %s [%s] (as %s)" % (os.path.basename(fixture), name,
-                                            as_path))
-            if missing:
-                print("  expected but not emitted: " + describe(missing))
-            if surplus:
-                print("  emitted but not expected: " + describe(surplus))
-        elif verbose:
-            print("ok   %s [%s]: %d diagnostic(s)"
-                  % (os.path.basename(fixture), name, len(expected)))
-    return ok
+    found = run_checker(fixture, as_path)
+    missing = expected - found
+    surplus = found - expected
+    if missing or surplus:
+        print("FAIL %s (as %s)" % (os.path.basename(fixture), as_path))
+        if missing:
+            print("  expected but not emitted: " + describe(missing))
+        if surplus:
+            print("  emitted but not expected: " + describe(surplus))
+        return False
+    if verbose:
+        print("ok   %s: %d diagnostic(s)"
+              % (os.path.basename(fixture), len(expected)))
+    return True
 
 
 def main(argv):
@@ -134,24 +98,8 @@ def main(argv):
                     help="fixture directory (default: tests/lint/fixtures)")
     ap.add_argument("--only", action="append", default=[],
                     help="run only fixtures whose basename matches")
-    ap.add_argument("--tool", choices=["mirror", "clang-tidy", "both"],
-                    default="mirror")
-    ap.add_argument("--clang-tidy", default="clang-tidy",
-                    help="clang-tidy binary (for --tool clang-tidy/both)")
-    ap.add_argument("--plugin", help="path to bbsim_tidy plugin .so")
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
-
-    backends = []
-    if args.tool in ("mirror", "both"):
-        backends.append(("mirror", run_mirror))
-    if args.tool in ("clang-tidy", "both"):
-        if not args.plugin:
-            ap.error("--tool %s requires --plugin" % args.tool)
-        backends.append(
-            ("clang-tidy",
-             lambda fx, ap_, ct=args.clang_tidy, pl=args.plugin:
-                 run_clang_tidy(fx, ap_, ct, pl)))
 
     fixtures = sorted(
         os.path.join(args.fixtures, f) for f in os.listdir(args.fixtures)
@@ -165,14 +113,13 @@ def main(argv):
 
     failures = 0
     for fixture in fixtures:
-        if not run_one(fixture, backends, args.verbose):
+        if not run_one(fixture, args.verbose):
             failures += 1
     total = len(fixtures)
     if failures:
         print("%d/%d fixture(s) failed" % (failures, total))
         return 1
-    print("all %d fixture(s) passed (%s)"
-          % (total, "+".join(n for n, _ in backends)))
+    print("all %d fixture(s) passed" % total)
     return 0
 
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/metrics.hpp"
@@ -200,8 +201,9 @@ TEST(Engine, QueueDepthMetricIsLiveCountAfterCancelBursts) {
   // Tombstones sit in the queue until popped or compacted; the queue-depth
   // gauge and pending_count() must report the live count anyway.
   stats::MetricsRegistry metrics;
-  Engine e;
-  e.set_metrics(&metrics);
+  obs::Sinks sinks;
+  sinks.metrics = &metrics;
+  Engine e(sinks);
   std::vector<EventId> ids;
   for (int i = 0; i < 200; ++i) {
     ids.push_back(e.schedule_at(static_cast<double>(i) + 1.0, [] {}));

@@ -304,7 +304,6 @@ TEST(SweepCli, MetricsSwitchEmbedsMetrics) {
   EXPECT_EQ(run.at("metrics").at("schema").as_string(), "bbsim.metrics.v1");
 }
 
-#if defined(BBSIM_AUDIT_ENABLED)
 TEST(SweepCli, AuditSwitchEmbedsViolationCounts) {
   const auto spec = sweep::parse_sweep_spec(json::parse(R"({
     "base": {"workflow": "swarp"},
@@ -335,7 +334,6 @@ TEST(SweepCli, SpecLevelAuditKeyOptsARunIn) {
   ASSERT_TRUE(run.at("ok").as_bool());
   EXPECT_TRUE(run.contains("audit_violations"));
 }
-#endif  // BBSIM_AUDIT_ENABLED
 
 TEST(SweepCli, UnauditedReportHasNoAuditFields) {
   const auto spec = sweep::parse_sweep_spec(json::parse(R"({

@@ -107,7 +107,6 @@ TEST(RunCli, AuditFlagsParse) {
   }
 }
 
-#if defined(BBSIM_AUDIT_ENABLED)
 TEST(RunCli, AuditedRunIsCleanAndWritesReport) {
   const std::string path = ::testing::TempDir() + "/bbsim_cli_audit.json";
   cli::CliOptions opt;
@@ -136,7 +135,6 @@ TEST(MainImpl, AuditSmokeRun) {
                         "--chromosomes", "2", "--audit"};
   EXPECT_EQ(cli::main_impl(7, argv), 0);
 }
-#endif  // BBSIM_AUDIT_ENABLED
 
 TEST(MainImpl, BadFlagReturnsNonZero) {
   const char* argv[] = {"bbsim_run", "--bogus"};

@@ -360,6 +360,19 @@ TEST(SimulationTimeline, ResultsStayIdenticalWithTimelineOn) {
   cfg.profile = true;
   exec::Simulation observed(tiny(), io_workflow(), cfg);
   EXPECT_DOUBLE_EQ(plain.run().makespan, observed.run().makespan);
+
+  // Nor the other instruments: the metrics report of a run is the same with
+  // a timeline attached (each sink takes exactly one t=0 occupancy sample).
+  const auto metrics_dump = [](bool timeline) {
+    exec::ExecutionConfig c;
+    c.collect_metrics = true;
+    c.collect_timeline = timeline;
+    wf::SwarpConfig swarp;
+    swarp.pipelines = 2;
+    exec::Simulation sim(platform::cori_platform({}), wf::make_swarp(swarp), c);
+    return sim.run().metrics.dump(2);
+  };
+  EXPECT_EQ(metrics_dump(true), metrics_dump(false));
 }
 
 TEST(SimulationTimeline, PerfettoExportIsDeterministic) {

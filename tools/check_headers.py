@@ -61,8 +61,7 @@ def reference_flags(build_dir, root):
                 flags.append(arg)
             return flags, entry.get("directory", build_dir)
     # Fallback: enough for this repo's layout.
-    return (["-std=c++20", "-I" + os.path.join(root, "src"),
-             "-DBBSIM_AUDIT_ENABLED=1"], root)
+    return ["-std=c++20", "-I" + os.path.join(root, "src")], root
 
 
 def headers_under(root, subdirs):

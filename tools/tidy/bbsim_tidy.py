@@ -1,27 +1,23 @@
 #!/usr/bin/env python3
-"""bbsim-tidy: portable mirror of the bbsim clang-tidy checks.
+"""bbsim-tidy: the bbsim domain lint checks.
 
-The authoritative implementations of the ``bbsim-*`` checks live in the
-clang-tidy plugin next to this file (``tools/tidy/*.cpp``, built when Clang
-development headers are present).  This script is a dependency-free lexical
-mirror of the same six checks so that
+A dependency-free lexical checker for the four ``bbsim-*`` checks, so that
 
   * the fixture self-tests under ``tests/lint/`` run under ctest on every
     machine, including containers without any Clang toolchain, and
-  * the zero-findings gate over ``src/ tools/ bench/`` is enforced by the
-    regular test suite, not only by the CI job that can build the plugin.
+  * the zero-findings gate over ``src/ tools/ bench/`` (``lint.tree_clean``)
+    is enforced by the regular test suite.
 
-Both implementations emit the same diagnostic format
+Diagnostics use the clang-tidy format
 
     <file>:<line>:<col>: warning: <message> [bbsim-<check>]
 
-honour the same ``// NOLINT(bbsim-...)`` / ``// NOLINTNEXTLINE(bbsim-...)``
-escape hatches, and share the same per-check path allowlists.  The mirror is
-lexical, not semantic: it tokenizes enough C++ (comments, strings, raw
-strings, template brackets) to track declared names, but it does not build an
-AST.  The checks and their heuristics are documented in
-docs/static-analysis.md; fixtures in tests/lint/fixtures/ pin the behaviour
-of both implementations.
+and honour the ``// NOLINT(bbsim-...)`` / ``// NOLINTNEXTLINE(bbsim-...)``
+escape hatches and per-check path allowlists.  The checker is lexical, not
+semantic: it tokenizes enough C++ (comments, strings, raw strings, template
+brackets) to track declared names, but it does not build an AST.  The checks
+and their heuristics are documented in docs/static-analysis.md; fixtures in
+tests/lint/fixtures/ pin their behaviour.
 
 Checks:
   bbsim-unordered-iteration   range-for / .begin() walks over std::unordered_
@@ -32,10 +28,6 @@ Checks:
                               BBSIM_ASSERT / BBSIM_AUDIT_CHECK
   bbsim-float-equality        ==/!= between floating-point operands in
                               src/flow and src/batch scheduler code
-  bbsim-unguarded-audit-hook  observer probe calls outside BBSIM_AUDIT_HOOK
-  bbsim-unguarded-critpath-hook
-                              critpath recorder calls outside
-                              BBSIM_CRITPATH_HOOK
 
 Usage:
   bbsim_tidy.py [--as-path REL] file.cpp ...      # lint explicit files
@@ -50,8 +42,7 @@ import re
 import sys
 
 # --------------------------------------------------------------------------
-# Check registry and per-check configuration (kept in lockstep with the
-# plugin's defaults in tools/tidy/*.cpp -- change both together).
+# Check registry and per-check configuration.
 # --------------------------------------------------------------------------
 
 ALL_CHECKS = [
@@ -59,8 +50,6 @@ ALL_CHECKS = [
     "bbsim-nondeterminism-source",
     "bbsim-raw-assert",
     "bbsim-float-equality",
-    "bbsim-unguarded-audit-hook",
-    "bbsim-unguarded-critpath-hook",
 ]
 
 # Paths are matched as repo-relative POSIX paths (regex search, not match).
@@ -85,35 +74,6 @@ FLOAT_EQ_SCOPE = r"(^|/)src/(flow|batch)/"
 # comparison against them is the intended idiom.
 FLOAT_EQ_SENTINELS = {"kUnlimited", "kPostRun", "kNoEstimate"}
 
-# unguarded-audit-hook: probes and the auditor implement the observer
-# interfaces, so src/audit/ calls them directly by design.
-AUDIT_HOOK_SCOPE = r"(^|/)src/"
-AUDIT_HOOK_ALLOWED_PATHS = r"(^|/)src/audit/"
-AUDIT_HOOK_METHODS = {
-    "on_scheduled",
-    "on_executed",
-    "on_cancelled",
-    "on_occupancy_change",
-    "on_replica_created",
-    "on_replica_erased",
-}
-AUDIT_HOOK_MACRO = "BBSIM_AUDIT_HOOK"
-
-# unguarded-critpath-hook: the recorder and its analyzer live in
-# src/critpath/, which calls the recorder directly by design.
-CRITPATH_HOOK_SCOPE = r"(^|/)src/"
-CRITPATH_HOOK_ALLOWED_PATHS = r"(^|/)src/critpath/"
-CRITPATH_HOOK_METHODS = {
-    "record_ready",
-    "record_abort",
-    "record_read_bytes",
-    "record_write_bytes",
-    "record_ckpt_stall",
-    "record_restart_delay",
-    "record_implicit_stage",
-}
-CRITPATH_HOOK_MACRO = "BBSIM_CRITPATH_HOOK"
-
 MESSAGES = {
     "bbsim-unordered-iteration": (
         "iteration order over '{what}' is unspecified and breaks report "
@@ -130,14 +90,6 @@ MESSAGES = {
     "bbsim-float-equality": (
         "exact floating-point {what} in scheduler/solver code; compare "
         "against an epsilon or a named sentinel"
-    ),
-    "bbsim-unguarded-audit-hook": (
-        "audit observer call '{what}' outside BBSIM_AUDIT_HOOK; it would "
-        "survive -DBBSIM_AUDIT=OFF builds"
-    ),
-    "bbsim-unguarded-critpath-hook": (
-        "critpath recorder call '{what}' outside BBSIM_CRITPATH_HOOK; it "
-        "would survive -DBBSIM_CRITPATH=OFF builds"
     ),
 }
 
@@ -526,52 +478,6 @@ def check_float_equality(path, code, text):
 
 
 # --------------------------------------------------------------------------
-# bbsim-unguarded-audit-hook / bbsim-unguarded-critpath-hook
-# --------------------------------------------------------------------------
-
-
-def _hook_regions(code, macro):
-    regions = []
-    for m in re.finditer(r"\b" + macro + r"\s*\(", code):
-        open_paren = code.find("(", m.start())
-        end = match_balanced(code, open_paren, "(", ")")
-        if end > 0:
-            regions.append((m.start(), end))
-    return regions
-
-
-def _check_unguarded_hook(check, methods, macro, path, code):
-    diags = []
-    regions = _hook_regions(code, macro)
-    method_rx = re.compile(
-        r"(?:->|\.)\s*(" + "|".join(sorted(methods)) + r")\s*\(")
-    for m in method_rx.finditer(code):
-        if any(a <= m.start() < b for a, b in regions):
-            continue
-        # Declarations / overrides, not calls: `void on_executed(...) override`
-        line_start = code.rfind("\n", 0, m.start()) + 1
-        prefix = code[line_start:m.start()]
-        if re.search(r"\b(?:void|virtual)\s*$", prefix):
-            continue
-        line, col = line_col(code, m.start())
-        diags.append(Diagnostic(path, line, col, check,
-                                MESSAGES[check].format(what=m.group(1))))
-    return diags
-
-
-def check_unguarded_audit_hook(path, code, text):
-    return _check_unguarded_hook("bbsim-unguarded-audit-hook",
-                                 AUDIT_HOOK_METHODS, AUDIT_HOOK_MACRO,
-                                 path, code)
-
-
-def check_unguarded_critpath_hook(path, code, text):
-    return _check_unguarded_hook("bbsim-unguarded-critpath-hook",
-                                 CRITPATH_HOOK_METHODS, CRITPATH_HOOK_MACRO,
-                                 path, code)
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -583,10 +489,6 @@ CHECK_TABLE = [
      None, NONDET_ALLOWED_PATHS),
     ("bbsim-raw-assert", check_raw_assert, RAW_ASSERT_SCOPE, None),
     ("bbsim-float-equality", check_float_equality, FLOAT_EQ_SCOPE, None),
-    ("bbsim-unguarded-audit-hook", check_unguarded_audit_hook,
-     AUDIT_HOOK_SCOPE, AUDIT_HOOK_ALLOWED_PATHS),
-    ("bbsim-unguarded-critpath-hook", check_unguarded_critpath_hook,
-     CRITPATH_HOOK_SCOPE, CRITPATH_HOOK_ALLOWED_PATHS),
 ]
 
 

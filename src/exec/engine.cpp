@@ -182,7 +182,7 @@ void Simulation::prepare() {
     if (st.remaining_parents == 0) {
       st.ready = true;
       st.record.t_ready = fabric_.engine().now();
-      enqueue_ready(name);
+      enqueue_ready(st);
       trace(TraceEventKind::TaskReady, name);
       if (critpath_) {
         critpath_->record_ready(
@@ -222,58 +222,67 @@ void Simulation::compute_priorities() {
   }
 }
 
-void Simulation::enqueue_ready(const std::string& task_name) {
+void Simulation::enqueue_ready(TaskState& ts) {
   if (config_.scheduler == SchedulerPolicy::Fcfs) {
-    ready_queue_.push_back(task_name);
+    ready_queue_.push_back(&ts);
     return;
   }
-  const TaskState& st = states_.at(task_name);
   auto pos = ready_queue_.begin();
   for (; pos != ready_queue_.end(); ++pos) {
-    const TaskState& other = states_.at(*pos);
-    if (st.priority > other.priority ||
-        (st.priority == other.priority && st.topo_index < other.topo_index)) {
+    const TaskState& other = **pos;
+    if (ts.priority > other.priority ||
+        (ts.priority == other.priority && ts.topo_index < other.topo_index)) {
       break;
     }
   }
-  ready_queue_.insert(pos, task_name);
+  ready_queue_.insert(pos, &ts);
+}
+
+std::size_t Simulation::pick_host(const TaskState& ts) const {
+  if (ts.pinned) {
+    // Wait for the home host unless it can never fit the request.
+    if (fabric_.spec().hosts[ts.home_host].cores >= ts.cores) {
+      return host_available(ts.home_host) && free_cores_[ts.home_host] >= ts.cores
+                 ? ts.home_host
+                 : kNoHost;
+    }
+    for (std::size_t h = 0; h < free_cores_.size(); ++h) {
+      if (host_available(h) && free_cores_[h] >= ts.cores) return h;
+    }
+    return kNoHost;
+  }
+  // Least-loaded host with room (ties -> lowest index).
+  std::size_t chosen = kNoHost;
+  int best_free = -1;
+  for (std::size_t h = 0; h < free_cores_.size(); ++h) {
+    if (host_available(h) && free_cores_[h] >= ts.cores && free_cores_[h] > best_free) {
+      best_free = free_cores_[h];
+      chosen = h;
+    }
+  }
+  return chosen;
 }
 
 void Simulation::try_schedule() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = ready_queue_.begin(); it != ready_queue_.end(); ++it) {
-      TaskState& st = states_.at(*it);
-      std::size_t chosen = static_cast<std::size_t>(-1);
-      if (st.pinned) {
-        // Wait for the home host unless it can never fit the request.
-        if (fabric_.spec().hosts[st.home_host].cores >= st.cores) {
-          if (host_available(st.home_host) && free_cores_[st.home_host] >= st.cores) {
-            chosen = st.home_host;
-          }
-        } else {
-          for (std::size_t h = 0; h < free_cores_.size(); ++h) {
-            if (host_available(h) && free_cores_[h] >= st.cores) { chosen = h; break; }
-          }
-        }
-      } else {
-        // Least-loaded host with room (ties -> lowest index).
-        int best_free = -1;
-        for (std::size_t h = 0; h < free_cores_.size(); ++h) {
-          if (host_available(h) && free_cores_[h] >= st.cores &&
-              free_cores_[h] > best_free) {
-            best_free = free_cores_[h];
-            chosen = h;
-          }
-        }
-      }
-      if (chosen == static_cast<std::size_t>(-1)) continue;
-      const std::string name = *it;
-      ready_queue_.erase(it);
-      start_task(states_.at(name), chosen);
-      progressed = true;
-      break;  // iterators invalidated; rescan
+  // Starting a task only takes cores away, so a task that found no host
+  // earlier in this pass still finds none: one pass suffices, resuming at
+  // the erased position. The exception is a start_task that re-entered
+  // (a stage-in whose every file is skipped finishes synchronously and
+  // its finish_task schedules again): that freed cores and edited the
+  // queue behind the iterator, so the pass starts over.
+  std::uint64_t epoch = ++schedule_epoch_;
+  for (auto it = ready_queue_.begin(); it != ready_queue_.end();) {
+    TaskState& ts = **it;
+    const std::size_t host = pick_host(ts);
+    if (host == kNoHost) {
+      ++it;
+      continue;
+    }
+    it = ready_queue_.erase(it);
+    start_task(ts, host);
+    if (schedule_epoch_ != epoch) {
+      epoch = schedule_epoch_;
+      it = ready_queue_.begin();
     }
   }
 }
@@ -716,7 +725,7 @@ void Simulation::finish_task(TaskState& ts) {
     if (--cs.remaining_parents == 0) {
       cs.ready = true;
       cs.record.t_ready = fabric_.engine().now();
-      enqueue_ready(child);
+      enqueue_ready(cs);
       trace(TraceEventKind::TaskReady, child);
       if (critpath_) {
         critpath_->record_ready(
@@ -742,22 +751,24 @@ void Simulation::run_stage_out() {
     if (bb_svc->has_file(f) && !storage_.pfs().has_file(f)) files->push_back(f);
   }
   if (files->empty()) return;
-  const double start = fabric_.engine().now();
-  auto drain = std::make_shared<std::function<void(std::size_t)>>();
-  *drain = [this, files, start, drain, bb_svc](std::size_t index) {
-    if (index >= files->size()) {
-      stage_out_duration_ = fabric_.engine().now() - start;
-      return;
-    }
-    const std::string& fname = (*files)[index];
-    const storage::StorageService::Replica* rep = bb_svc->replica(fname);
-    const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
-    trace(TraceEventKind::StageOut, "stage_out", fname);
-    storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
-                      storage_.pfs(), via_host,
-                      [drain, index] { (*drain)(index + 1); });
-  };
-  (*drain)(0);
+  drain_stage_out(std::move(files), 0, fabric_.engine().now());
+}
+
+void Simulation::drain_stage_out(std::shared_ptr<const std::vector<std::string>> files,
+                                 std::size_t index, double start) {
+  if (index >= files->size()) {
+    stage_out_duration_ = fabric_.engine().now() - start;
+    return;
+  }
+  storage::StorageService* bb_svc = bb();
+  const std::string& fname = (*files)[index];
+  const storage::StorageService::Replica* rep = bb_svc->replica(fname);
+  const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
+  trace(TraceEventKind::StageOut, "stage_out", fname);
+  storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
+                    storage_.pfs(), via_host, [this, files, index, start] {
+                      drain_stage_out(files, index + 1, start);
+                    });
 }
 
 bool Simulation::try_evict(double bytes) {
@@ -1009,7 +1020,7 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   if (requeue) {
     ts.ready = true;
     ts.record.t_ready = now;
-    enqueue_ready(ts.task->name);
+    enqueue_ready(ts);
     trace(TraceEventKind::TaskReady, ts.task->name);
     if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
@@ -1057,7 +1068,7 @@ void Simulation::rollback_task(TaskState& ts) {
     if (cs.running) {
       kill_task(cs, /*requeue=*/false);
     } else if (cs.ready) {
-      const auto pos = std::find(ready_queue_.begin(), ready_queue_.end(), child);
+      const auto pos = std::find(ready_queue_.begin(), ready_queue_.end(), &cs);
       if (pos != ready_queue_.end()) ready_queue_.erase(pos);
     }
     cs.ready = false;
@@ -1071,7 +1082,7 @@ void Simulation::rollback_task(TaskState& ts) {
   if (ts.remaining_parents == 0) {
     ts.ready = true;
     ts.record.t_ready = now;
-    enqueue_ready(ts.task->name);
+    enqueue_ready(ts);
     trace(TraceEventKind::TaskReady, ts.task->name);
     if (critpath_) {
       critpath_->record_ready(ts.task->name, now,

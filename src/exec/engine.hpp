@@ -21,6 +21,7 @@
 // testbed emulator (src/testbed installs caps/latency/noise hooks).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -211,7 +212,12 @@ class Simulation {
   std::map<std::string, TaskState> states_;
   std::vector<std::string> topo_order_;
   std::vector<int> free_cores_;
-  std::deque<std::string> ready_queue_;
+  /// Ready tasks in dispatch order. std::map nodes never move, so the
+  /// pointers into states_ stay valid for the whole run.
+  std::deque<TaskState*> ready_queue_;
+  /// Bumped on every try_schedule() entry, so a scan can tell that
+  /// start_task re-entered it (the only way start_task edits the queue).
+  std::uint64_t schedule_epoch_ = 0;
   std::vector<std::string> staged_files_;
   /// Which staged files each stage-in task copies (the whole list for a
   /// single stage-in; partitioned by descendant consumers otherwise).
@@ -251,6 +257,9 @@ class Simulation {
   // ------------------------------------------------------------- phases
   void prepare();                 ///< initial placement, pinning, readiness
   void try_schedule();            ///< drain the ready queue onto free cores
+  static constexpr std::size_t kNoHost = static_cast<std::size_t>(-1);
+  /// The host the scheduler would start `ts` on now, or kNoHost.
+  std::size_t pick_host(const TaskState& ts) const;
   void start_task(TaskState& ts, std::size_t host);
   void run_stage_in(TaskState& ts);
   /// In-flight bookkeeping for one stage-in task's transfer window.
@@ -272,9 +281,13 @@ class Simulation {
   /// Compute scheduler priorities for every task (policy-dependent).
   void compute_priorities();
   /// Insert into the ready queue respecting the scheduler policy.
-  void enqueue_ready(const std::string& task_name);
+  void enqueue_ready(TaskState& ts);
   /// Drain BB-resident final outputs to the PFS (stage_out option).
   void run_stage_out();
+  /// Move files[index..] from the BB to the PFS one after another; each
+  /// transfer's completion starts the next.
+  void drain_stage_out(std::shared_ptr<const std::vector<std::string>> files,
+                       std::size_t index, double start);
   /// Evict LRU staged inputs until `bytes` fit (bb_eviction option).
   bool try_evict(double bytes);
 

@@ -5,6 +5,7 @@
 
 #include "trace/profiler.hpp"
 #include "trace/timeline.hpp"
+#include "util/error.hpp"
 
 namespace bbsim::flow {
 
@@ -18,7 +19,93 @@ namespace {
 double completion_tolerance(const FlowState& st) {
   return 1e-6 + 1e-9 * st.spec.volume;
 }
+
+/// Seconds until the flow's last byte arrives at its current rate: 0 when
+/// it is done already (or moves at an unlimited rate), +inf when starved.
+double seconds_to_finish(const FlowState& st) {
+  if (st.remaining <= completion_tolerance(st) || st.rate == kUnlimited) return 0.0;
+  if (st.rate <= 0.0) return kUnlimited;
+  return st.remaining / st.rate;
+}
 }  // namespace
+
+// ------------------------------------------------------------ completion index
+
+void FlowManager::CompletionIndex::insert(FlowId id, double eta) {
+  if (id >= slots_.size()) slots_.resize(id + 1);
+  slots_[id].stamp = next_stamp_++;
+  heap_.push_back(Entry{eta, id});
+  slots_[id].pos = heap_.size() - 1;
+  sift_up(heap_.size() - 1);
+}
+
+void FlowManager::CompletionIndex::erase(FlowId id) {
+  const std::size_t pos = slots_[id].pos;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  place(pos, last);
+  sift_up(pos);
+  sift_down(slots_[last.id].pos);
+}
+
+void FlowManager::CompletionIndex::update(FlowId id, double eta) {
+  const std::size_t pos = slots_[id].pos;
+  heap_[pos].eta = eta;
+  sift_up(pos);
+  sift_down(slots_[id].pos);
+}
+
+void FlowManager::CompletionIndex::heapify() {
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+}
+
+double FlowManager::CompletionIndex::min_eta() const {
+  return heap_.empty() ? kUnlimited : heap_.front().eta;
+}
+
+FlowId FlowManager::CompletionIndex::pop_min() {
+  const FlowId id = heap_.front().id;
+  erase(id);
+  return id;
+}
+
+void FlowManager::CompletionIndex::place(std::size_t pos, Entry e) {
+  heap_[pos] = e;
+  slots_[e.id].pos = pos;
+}
+
+// Both sifts expect the entry at `pos` to be placed already (its slot
+// points at `pos`), so an entry that does not move costs no writes -- the
+// common case when heapify() follows a settle that kept the order.
+void FlowManager::CompletionIndex::sift_up(std::size_t pos) {
+  const Entry e = heap_[pos];
+  const std::size_t start = pos;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(e.eta < heap_[parent].eta)) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  if (pos != start) place(pos, e);
+}
+
+void FlowManager::CompletionIndex::sift_down(std::size_t pos) {
+  const Entry e = heap_[pos];
+  const std::size_t start = pos;
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1].eta < heap_[child].eta) ++child;
+    if (!(heap_[child].eta < e.eta)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  if (pos != start) place(pos, e);
+}
+
+// ----------------------------------------------------------------- manager
 
 FlowManager::FlowManager(sim::Engine& engine, const obs::Sinks& sinks)
     : engine_(engine), net_(sinks), metrics_(sinks.metrics), timeline_(sinks.timeline) {
@@ -26,9 +113,33 @@ FlowManager::FlowManager(sim::Engine& engine, const obs::Sinks& sinks)
   if (metrics_ != nullptr) transfer_hist_ = &metrics_->histogram("flow.transfer_seconds");
 }
 
+void FlowManager::check_invariants() const {
+  net_.check_invariants();
+  BBSIM_ASSERT(index_.size() == net_.flow_count(),
+               "completion index holds " + std::to_string(index_.size()) +
+                   " flows, the network " + std::to_string(net_.flow_count()));
+  double brute_min = kUnlimited;
+  net_.for_each_flow([&](FlowId id, const FlowState& st) {
+    BBSIM_ASSERT(index_.contains(id),
+                 "flow " + std::to_string(id) + " missing from the completion index");
+    const double fresh = seconds_to_finish(st);
+    // Bitwise agreement is the contract: the index must hold exactly what
+    // a fresh computation gives, or wake times and finished sets drift.
+    BBSIM_ASSERT(index_.eta(id) == fresh,  // NOLINT(bbsim-float-equality)
+                 "flow " + std::to_string(id) + " indexed to finish in " +
+                     std::to_string(index_.eta(id)) + " s, fresh value " +
+                     std::to_string(fresh) + " s");
+    brute_min = std::min(brute_min, fresh);
+  });
+  BBSIM_ASSERT(index_.min_eta() == brute_min,  // NOLINT(bbsim-float-equality)
+               "completion index minimum " + std::to_string(index_.min_eta()) +
+                   " s, brute-force minimum " + std::to_string(brute_min) + " s");
+}
+
 FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   settle();
   const FlowId id = net_.add_flow(std::move(spec));
+  index_.insert(id, seconds_to_finish(net_.flow(id)));
   handlers_.emplace(id, std::move(on_complete));
   if (timeline_ != nullptr) {
     const FlowState& st = net_.flow(id);
@@ -49,6 +160,7 @@ std::optional<double> FlowManager::cancel(FlowId id) {
   const FlowState& st = net_.flow(id);
   const double moved = std::max(0.0, st.spec.volume - st.remaining);
   net_.remove_flow(id);
+  index_.erase(id);
   handlers_.erase(id);
   if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), false);
   flow_started_.erase(id);
@@ -89,7 +201,9 @@ void FlowManager::settle() {
   }
   touched_.clear();
 
-  net_.for_each_flow([&](FlowId id, const FlowState& st) {
+  // The one walk per time advance: progress, and with it every flow's
+  // seconds-to-finish, so the index is rebuilt in the same O(active) pass.
+  net_.for_each_flow_mut([&](FlowId id, FlowState& st) {
     const double rate = (st.rate == kUnlimited) ? 0.0 : st.rate;
     const double moved = std::min(st.remaining, rate * dt);
     // res_busy_ doubles as the touched-marker: every branch that writes a
@@ -100,14 +214,16 @@ void FlowManager::settle() {
         res_bytes_[r] += moved;
         res_busy_[r] = 1;
       }
-      net_.consume(id, moved);
+      st.remaining = std::max(0.0, st.remaining - moved);
     } else if (rate > 0.0 || st.rate == kUnlimited) {
       for (const ResourceId r : st.spec.path) {
         if (res_busy_[r] == 0) touched_.push_back(r);
         res_busy_[r] = 1;
       }
     }
+    index_.assign(id, seconds_to_finish(st));
   });
+  index_.heapify();
   for (const ResourceId r : touched_) {
     net_.resource(r).bytes_served += res_bytes_[r];
     if (res_busy_[r] != 0) net_.resource(r).busy_time += dt;
@@ -160,34 +276,22 @@ void FlowManager::reschedule() {
     const trace::ScopedTimer timer(solve_profile_);
     net_.solve();
   }
-  if (timeline_ != nullptr) {
-    // Publish each flow's freshly allocated rate as a change point of its
-    // span (flow_rate dedups unchanged rates, so a stable allocation
-    // costs one point, not one per solve).
-    const sim::Time now = engine_.now();
-    net_.for_each_flow([&](FlowId id, const FlowState& st) {
-      timeline_->flow_rate(id, now, st.rate);
-    });
-  }
+  // Only re-solved flows can have a new rate: refresh their index entries
+  // and publish their rates as change points of their spans (flow_rate
+  // dedups unchanged rates, so a stable allocation costs one point).
+  const sim::Time now = engine_.now();
+  net_.for_each_resolved([&](FlowId id, const FlowState& st) {
+    index_.update(id, seconds_to_finish(st));
+    if (timeline_ != nullptr) timeline_->flow_rate(id, now, st.rate);
+  });
 
   // Earliest completion among active flows.
-  double horizon = kUnlimited;
-  net_.for_each_flow([&horizon](FlowId, const FlowState& st) {
-    double eta;
-    if (st.remaining <= completion_tolerance(st) || st.rate == kUnlimited) {
-      eta = 0.0;
-    } else if (st.rate <= 0.0) {
-      return;  // starved flow: waits for capacity to free up
-    } else {
-      eta = st.remaining / st.rate;
-    }
-    horizon = std::min(horizon, eta);
-  });
+  double horizon = index_.min_eta();
   if (horizon == kUnlimited) return;  // everything starved (all-zero capacity)
   // Clamp sub-resolution horizons: if now + horizon does not advance the
   // clock, fire now and let the completion tolerance finish those flows.
   // The exact == probes ulp behaviour on purpose; an epsilon would defeat it.
-  if (engine_.now() + horizon == engine_.now()) horizon = 0.0;  // NOLINT(bbsim-float-equality)
+  if (now + horizon == now) horizon = 0.0;  // NOLINT(bbsim-float-equality)
 
   wake_event_ = engine_.schedule_in(horizon, [this] { on_wake(); });
   wake_scheduled_ = true;
@@ -199,16 +303,19 @@ void FlowManager::on_wake() {
 
   // Collect finished flows first, then remove, then invoke callbacks: a
   // callback may start new flows or abort others, so the network must be in
-  // a consistent state before user code runs.
+  // a consistent state before user code runs. A flow is finished when its
+  // residual time cannot advance the clock (exact == is the point: it asks
+  // whether the addition is an ulp no-op). That holds for a prefix of the
+  // index order, so the pops stop at the first flow still running; sorting
+  // by creation stamp keeps removals and callbacks in creation order.
+  const sim::Time now = engine_.now();
   done_.clear();
-  net_.for_each_flow([this](FlowId id, const FlowState& st) {
-    const bool finished =
-        st.remaining <= completion_tolerance(st) || st.rate == kUnlimited ||
-        // Residual too small to ever advance the clock again (exact == is
-        // the point: it asks whether the addition is an ulp no-op).
-        (st.rate > 0.0 &&
-         engine_.now() + st.remaining / st.rate == engine_.now());  // NOLINT(bbsim-float-equality)
-    if (finished) done_.push_back(id);
+  while (!index_.empty() &&
+         now + index_.min_eta() == now) {  // NOLINT(bbsim-float-equality)
+    done_.push_back(index_.pop_min());
+  }
+  std::sort(done_.begin(), done_.end(), [this](FlowId a, FlowId b) {
+    return index_.stamp(a) < index_.stamp(b);
   });
 
   std::vector<CompletionHandler> callbacks;

@@ -5,8 +5,15 @@
 // flow's completion callback at the exact simulated time its byte count
 // reaches zero. It also integrates per-resource accounting (bytes served,
 // busy time) used for the achieved-bandwidth experiment (paper Figure 9).
+//
+// Cost per event: one settle walk over the active flows per time advance
+// (progress stays eager: its per-interval rounding is what the goldens
+// encode), then O(re-solved * log F) to refresh a completion index after
+// each solve and O(finished * log F) to pop the flows a wake-up completes.
+// The next completion instant is the index minimum, not a scan.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -73,8 +80,10 @@ class FlowManager {
   /// Number of in-flight flows.
   std::size_t active_count() const { return net_.flow_count(); }
 
-  /// Re-runs the solver invariant checks (test hook).
-  void check_invariants() const { net_.check_invariants(); }
+  /// Re-runs the solver invariant checks and checks the completion index:
+  /// every live flow's entry equals a fresh seconds-to-finish computation
+  /// and the index minimum equals the brute-force minimum (test hook).
+  void check_invariants() const;
 
   /// Declare a named group of resources whose combined throughput is one
   /// achieved-bandwidth signal (one group per storage service: its disk
@@ -103,6 +112,57 @@ class FlowManager {
   std::vector<char> res_busy_;
   std::vector<ResourceId> touched_;
   std::vector<FlowId> done_;  ///< completion scratch for on_wake()
+
+  /// Indexed binary min-heap of every live flow's seconds-to-finish (0 when
+  /// within tolerance or unlimited, +inf when starved, else remaining /
+  /// rate), addressed by flow id. Ids are recycled, so the per-id table is
+  /// bounded by the concurrent-flow high-water mark; the heap itself holds
+  /// only live flows, so a bulk refresh is O(active), not O(high-water).
+  class CompletionIndex {
+   public:
+    /// Add a flow; it takes the next creation stamp.
+    void insert(FlowId id, double eta);
+    void erase(FlowId id);
+    /// Change one entry and restore heap order: O(log F).
+    void update(FlowId id, double eta);
+    /// Change one entry without restoring order; call heapify() before the
+    /// next query. A bulk refresh of every entry is then O(F).
+    void assign(FlowId id, double eta) { heap_[slots_[id].pos].eta = eta; }
+    void heapify();
+
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    bool contains(FlowId id) const {
+      return id < slots_.size() && slots_[id].pos < heap_.size() &&
+             heap_[slots_[id].pos].id == id;
+    }
+    /// Smallest seconds-to-finish (+inf when empty).
+    double min_eta() const;
+    /// Remove the flow with the smallest seconds-to-finish and return it.
+    FlowId pop_min();
+    double eta(FlowId id) const { return heap_[slots_[id].pos].eta; }
+    /// Creation order of flows, stable across id recycling; a removed
+    /// flow keeps its stamp until its id is reused.
+    std::uint64_t stamp(FlowId id) const { return slots_[id].stamp; }
+
+   private:
+    struct Entry {
+      double eta = 0.0;
+      FlowId id = 0;
+    };
+    struct Slot {
+      std::size_t pos = 0;  ///< index into heap_
+      std::uint64_t stamp = 0;
+    };
+    std::vector<Entry> heap_;
+    std::vector<Slot> slots_;  ///< index = FlowId
+    std::uint64_t next_stamp_ = 0;
+
+    void place(std::size_t pos, Entry e);
+    void sift_up(std::size_t pos);
+    void sift_down(std::size_t pos);
+  };
+  CompletionIndex index_;
   stats::MetricsRegistry* metrics_ = nullptr;
   /// Cached per-resource utilization series (index = ResourceId); refreshed
   /// lazily when resources were added since the last settle.

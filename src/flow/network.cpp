@@ -179,11 +179,6 @@ void Network::remove_flow(FlowId id) {
 
 const FlowState& Network::flow(FlowId id) const { return flows_[checked_index(id)]; }
 
-void Network::consume(FlowId id, double bytes) {
-  FlowState& st = flows_[checked_index(id)];
-  st.remaining = std::max(0.0, st.remaining - bytes);
-}
-
 std::vector<FlowId> Network::flow_ids() const {
   std::vector<FlowId> out;
   out.reserve(flows_.size());

@@ -23,8 +23,10 @@
 // max-min decomposes exactly across components, so the result is identical
 // to a full re-solve. All per-solve scratch is arena-allocated on the
 // network (epoch-stamped marks, reusable vectors), so steady-state solves
-// allocate nothing. set_incremental(false) restores the historical
-// solve-everything behaviour (the benchmark baseline and a debugging aid).
+// allocate nothing. for_each_resolved() exposes the last closure, so the
+// manager refreshes only the flows whose rate may have moved.
+// set_incremental(false) restores the historical solve-everything
+// behaviour (the benchmark baseline and a debugging aid).
 //
 // Network is a pure solver over a static "current instant"; it knows nothing
 // about time. FlowManager (manager.hpp) binds it to the event engine.
@@ -70,7 +72,7 @@ struct FlowSpec {
 /// Allocation state of one active flow.
 struct FlowState {
   FlowSpec spec;
-  double remaining = 0.0;  ///< bytes still to transfer
+  double remaining = 0.0;  ///< bytes still to transfer (advanced by FlowManager)
   double rate = 0.0;       ///< current allocation (bytes/second)
   bool bottlenecked_by_cap = false;  ///< true if the cap froze it (diagnostics)
 };
@@ -129,10 +131,6 @@ class Network {
   std::size_t flow_count() const { return flows_.size(); }
   const FlowState& flow(FlowId id) const;
 
-  /// Decrease a flow's remaining volume (called by the manager as time
-  /// advances). Clamps at zero. Does not dirty the allocation.
-  void consume(FlowId id, double bytes);
-
   /// Recompute flow rates with progressive filling. In incremental mode
   /// (the default) only the bottleneck-connected components touched since
   /// the last solve are re-solved -- O(dirty component) -- and untouched
@@ -162,6 +160,28 @@ class Network {
       fn(id, flows_[i]);
       id = next;
     }
+  }
+
+  /// The same walk with write access, for the manager's progress settle:
+  /// `fn(FlowId, FlowState&)` may lower FlowState::remaining (which does not
+  /// dirty the allocation) and must change nothing else.
+  template <typename Fn>
+  void for_each_flow_mut(Fn&& fn) {
+    for (FlowId id = head_; id != kNoId;) {
+      const std::size_t i = id_to_index_[id];
+      const FlowId next = links_[i].next;
+      fn(id, flows_[i]);
+      id = next;
+    }
+  }
+
+  /// Visit the flows the last solve() re-solved (its closure: the dirty
+  /// components in incremental mode, every flow in full mode), in index
+  /// order. Only these flows' rates can have changed since the solve
+  /// before. Valid until the next add_flow / remove_flow.
+  template <typename Fn>
+  void for_each_resolved(Fn&& fn) const {
+    for (const std::size_t f : closure_flows_) fn(ids_[f], flows_[f]);
   }
 
   /// Size of the id -> index table. Bounded by the high-water mark of

@@ -82,7 +82,11 @@ TEST(Determinism, SweepReportStableAcrossInvocations) {
 }
 
 std::string run_report_dump(bool audit) {
-  const std::string path = ::testing::TempDir() + "/bbsim_determinism_run.json";
+  // One file per test: ctest runs the tests of this binary as parallel
+  // processes, and two of them call this helper.
+  const std::string path =
+      ::testing::TempDir() + "/bbsim_determinism_run_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
   cli::CliOptions opt;
   opt.quiet = true;
   opt.pipelines = 2;

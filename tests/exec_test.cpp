@@ -664,3 +664,93 @@ TEST(StageWidth, InvalidWidthClampedToOne) {
 }
 
 }  // namespace stage_width_tests
+
+namespace dispatch_tests {
+
+using namespace bbsim;
+using namespace bbsim::exec;
+
+/// A stage-in whose every file is skipped (the BB cannot hold any of
+/// them) finishes synchronously inside try_schedule: its finish_task frees
+/// the core, readies its children and schedules again before the outer
+/// scan resumes. The ready queue mixes core counts and its head ("wide")
+/// does not fit when the stage-in is dispatched, so the outer scan must
+/// start over instead of resuming at a position the nested pass rewrote.
+wf::Workflow sync_stage_in_workflow() {
+  wf::Workflow w;
+  w.add_file({"in_x", 100.0});
+  w.add_file({"in_y", 100.0});
+  w.add_task({"hog", "c", 12e9, 0, 3, {}, {}});
+  w.add_task({"wide", "c", 8e9, 0, 4, {}, {}});
+  w.add_task({"stage_in", "stage_in", 0.0, 0, 1, {}, {}});
+  w.add_task({"x", "c", 1e9, 0, 1, {"in_x"}, {}});
+  w.add_task({"y", "c", 1.5e9, 0, 2, {"in_y"}, {}});
+  w.add_task({"t1", "c", 4e9, 0, 1, {}, {}});
+  w.add_task({"t2", "c", 3e9, 0, 2, {}, {}});
+  w.add_control_dep("stage_in", "t1");
+  w.add_control_dep("stage_in", "t2");
+  return w;
+}
+
+Result run_sync_stage_in(SchedulerPolicy policy) {
+  // h0 has 4 cores, h1 only 2, so "wide" fits nowhere once "hog" holds h0.
+  platform::PlatformSpec p = exec::tiny(StorageKind::SharedBB, BBMode::Striped, 2);
+  p.hosts[1].cores = 2;
+  p.storage[1].disk.capacity = 10.0;  // smaller than every staged file
+  ExecutionConfig cfg;
+  cfg.placement = all_bb_policy();
+  cfg.scheduler = policy;
+  cfg.audit = true;
+  return Simulation(std::move(p), sync_stage_in_workflow(), cfg).run();
+}
+
+struct Dispatch {
+  std::size_t host;
+  double t_start;
+};
+
+void expect_dispatch(const Result& r, const std::map<std::string, Dispatch>& want) {
+  ASSERT_EQ(r.tasks.size(), want.size());
+  for (const auto& [name, d] : want) {
+    EXPECT_EQ(r.tasks.at(name).host, d.host) << name;
+    EXPECT_DOUBLE_EQ(r.tasks.at(name).t_start, d.t_start) << name;
+  }
+}
+
+TEST(Dispatch, SynchronousStageInUnderFcfs) {
+  // t=0 queue [hog wide stage_in x y]: hog -> h0 (1 core left); wide fits
+  // nowhere; stage_in -> h1, skips both files and finishes at once, which
+  // readies t1 and t2 and schedules again: x -> h1, t1 -> h0 (tie, lowest
+  // index). x ends at 2 (1 s read + 1 s compute) -> y on h1; y ends at
+  // 3.75 -> t2 on h1; hog and t1 end at 4 -> wide on h0.
+  const Result r = run_sync_stage_in(SchedulerPolicy::Fcfs);
+  EXPECT_EQ(r.skipped_stage_files, 2u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  expect_dispatch(r, {{"hog", {0, 0.0}},
+                      {"wide", {0, 4.0}},
+                      {"stage_in", {1, 0.0}},
+                      {"x", {1, 0.0}},
+                      {"y", {1, 2.0}},
+                      {"t1", {0, 0.0}},
+                      {"t2", {1, 3.75}}});
+}
+
+TEST(Dispatch, SynchronousStageInUnderCriticalPath) {
+  // Upward ranks: hog 12, wide 8, stage_in 4 (via t1), t1 4, t2 3, y 1.5,
+  // x 1. t=0 queue [hog wide stage_in y x]: hog -> h0; stage_in -> h1 and
+  // finishes at once; the nested pass sees [wide t1 t2 y x]: t1 -> h1,
+  // x -> h0. At 4 hog and t1 end: wide -> h0, t2 -> h1; t2 ends at 5.5 ->
+  // y on h1.
+  const Result r = run_sync_stage_in(SchedulerPolicy::CriticalPathFirst);
+  EXPECT_EQ(r.skipped_stage_files, 2u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  expect_dispatch(r, {{"hog", {0, 0.0}},
+                      {"wide", {0, 4.0}},
+                      {"stage_in", {1, 0.0}},
+                      {"x", {0, 0.0}},
+                      {"y", {1, 5.5}},
+                      {"t1", {1, 0.0}},
+                      {"t2", {1, 4.0}}});
+}
+
+}  // namespace dispatch_tests

@@ -2,12 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "flow/manager.hpp"
 #include "flow/network.hpp"
 #include "obs/sinks.hpp"
 #include "sim/engine.hpp"
+#include "trace/timeline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -386,6 +392,187 @@ TEST(FlowManager, ManyConcurrentFlowsConserveWork) {
   EXPECT_NEAR(fm.network().resource(r).bytes_served, total, 1e-3);
   // Work conservation: single saturated resource -> finish = total/capacity.
   EXPECT_NEAR(finish, total / 123.0, 1e-6);
+}
+
+// ------------------------------------------------------ seeded manager churn
+
+/// Drives a FlowManager through seeded churn, one engine event at a time:
+/// batches of identical flows (which finish at one instant), zero-volume
+/// and unlimited-rate flows, starts from completion callbacks, mid-flight
+/// cancels, and capacity changes including starvation windows. Flows are
+/// numbered in creation order; with a timeline attached, flow n is span n.
+class FlowChurn {
+ public:
+  FlowChurn(std::uint64_t seed, const obs::Sinks& sinks) : rng_(seed), fm_(engine_, sinks) {
+    for (int i = 0; i < 4; ++i) {
+      finite_.push_back(
+          fm_.network().add_resource("r" + std::to_string(i), rng_.uniform(50.0, 500.0)));
+    }
+    unlimited_ = fm_.network().add_resource("u", kUnlimited);
+  }
+
+  /// Schedule `ops` churn operations over [0, 40) s, then run the engine
+  /// one event at a time, calling `after_event()` after each.
+  template <typename Fn>
+  void run(int ops, Fn&& after_event) {
+    for (int i = 0; i < ops; ++i) {
+      engine_.schedule_at(rng_.uniform(0.0, 40.0), [this] { churn_op(); });
+    }
+    while (true) {
+      fired_.clear();
+      if (!engine_.step()) break;
+      if (fired_.size() > 1) ++simultaneous_batches_;
+      // One wake-up's callbacks fire in creation order.
+      for (std::size_t i = 1; i < fired_.size(); ++i) {
+        ASSERT_LT(fired_[i - 1], fired_[i]) << "at t=" << engine_.now();
+      }
+      after_event();
+    }
+  }
+
+  sim::Engine& engine() { return engine_; }
+  FlowManager& manager() { return fm_; }
+  /// Live flows: creation number -> flow id.
+  const std::map<std::size_t, FlowId>& live() const { return live_; }
+  std::size_t started() const { return next_; }
+  int simultaneous_batches() const { return simultaneous_batches_; }
+  int recycled_ids() const { return recycled_ids_; }
+  int cancels() const { return cancels_; }
+
+ private:
+  util::Rng rng_;
+  sim::Engine engine_;
+  FlowManager fm_;
+  std::vector<ResourceId> finite_;
+  ResourceId unlimited_ = 0;
+  std::map<std::size_t, FlowId> live_;
+  std::set<FlowId> seen_ids_;
+  std::vector<std::size_t> fired_;  ///< completions in the current event
+  std::size_t next_ = 0;
+  int simultaneous_batches_ = 0;
+  int recycled_ids_ = 0;
+  int cancels_ = 0;
+
+  FlowSpec random_spec() {
+    FlowSpec s;
+    s.volume = rng_.chance(0.15) ? 0.0 : rng_.uniform(1.0, 800.0);
+    if (rng_.chance(0.1)) {
+      // Crosses only unconstrained resources (or none): an unlimited rate.
+      if (rng_.chance(0.5)) s.path.push_back(unlimited_);
+      return s;
+    }
+    const int hops = static_cast<int>(rng_.uniform_int(1, 2));
+    for (int k = 0; k < hops; ++k) {
+      s.path.push_back(finite_[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(finite_.size()) - 1))]);
+    }
+    if (rng_.chance(0.3)) s.rate_cap = rng_.uniform(10.0, 200.0);
+    return s;
+  }
+
+  void start(const FlowSpec& spec) {
+    const std::size_t n = next_++;
+    const FlowId id = fm_.start(spec, [this, n] {
+      fired_.push_back(n);
+      live_.erase(n);
+      // Completion callbacks may start flows (never cancel: a rate point
+      // published for a flow stays observable after its event).
+      if (rng_.chance(0.2)) start(random_spec());
+    });
+    if (!seen_ids_.insert(id).second) ++recycled_ids_;
+    live_[n] = id;
+  }
+
+  void churn_op() {
+    const double op = rng_.uniform(0.0, 1.0);
+    if (op < 0.5) {
+      // A batch of identical flows started together finishes together.
+      const FlowSpec spec = random_spec();
+      const int copies = static_cast<int>(rng_.uniform_int(1, 3));
+      for (int i = 0; i < copies; ++i) start(spec);
+    } else if (op < 0.75) {
+      if (live_.empty()) return;
+      auto it = live_.begin();
+      std::advance(it, rng_.uniform_int(0, static_cast<std::int64_t>(live_.size()) - 1));
+      const FlowId id = it->second;
+      live_.erase(it);
+      const std::optional<double> moved = fm_.cancel(id);
+      ASSERT_TRUE(moved.has_value());
+      EXPECT_GE(*moved, 0.0);
+      ++cancels_;
+    } else {
+      const ResourceId r = finite_[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(finite_.size()) - 1))];
+      if (rng_.chance(0.3)) {
+        // A starvation window: the resource's flows stall, then resume.
+        fm_.set_capacity(r, 0.0);
+        const double restore = rng_.uniform(50.0, 500.0);
+        engine_.schedule_in(rng_.uniform(0.5, 3.0),
+                            [this, r, restore] { fm_.set_capacity(r, restore); });
+      } else {
+        fm_.set_capacity(r, rng_.uniform(50.0, 500.0));
+      }
+    }
+  }
+};
+
+class FlowManagerChurnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowManagerChurnTest, CompletionIndexMatchesBruteForceAfterEveryEvent) {
+  FlowChurn churn(static_cast<std::uint64_t>(GetParam()), {});
+  int events = 0;
+  churn.run(120, [&] {
+    ++events;
+    ASSERT_NO_THROW(churn.manager().check_invariants()) << "event " << events;
+  });
+  EXPECT_TRUE(churn.live().empty());
+  EXPECT_EQ(churn.manager().active_count(), 0u);
+  // The churn reached every case the index must handle.
+  EXPECT_GT(churn.simultaneous_batches(), 0);
+  EXPECT_GT(churn.recycled_ids(), 0);
+  EXPECT_GT(churn.cancels(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowManagerChurnTest, ::testing::Range(1, 9));
+
+TEST(FlowManagerTimeline, RatePointsMatchLiveRatesUnderChurn) {
+  // Rates are published only for the flows each solve re-solved. Every
+  // live flow's current rate, read after every event, must still be what
+  // its span says at that instant, and every rate point must be a rate the
+  // flow really had (the last one read at that instant wins).
+  trace::TimelineRecorder rec;
+  obs::Sinks sinks;
+  sinks.timeline = &rec;
+  FlowChurn churn(20261017, sinks);
+  std::map<std::pair<std::size_t, double>, double> observed;  // (span, t) -> rate
+  churn.run(150, [&] {
+    for (const auto& [n, id] : churn.live()) {
+      observed[{n, churn.engine().now()}] = churn.manager().current_rate(id);
+    }
+  });
+  const trace::Timeline tl = rec.finish();
+  ASSERT_EQ(tl.flows.size(), churn.started());
+
+  std::size_t checked = 0;
+  for (const auto& [key, rate] : observed) {
+    if (!std::isfinite(rate)) continue;  // unlimited flows publish no rate
+    const std::vector<trace::RatePoint>& points = tl.flows[key.first].rates;
+    const trace::RatePoint* at = nullptr;
+    for (const trace::RatePoint& p : points) {
+      if (p.time <= key.second) at = &p;
+    }
+    ASSERT_NE(at, nullptr) << "span " << key.first << " has no rate at t=" << key.second;
+    EXPECT_EQ(at->rate, rate) << "span " << key.first << " at t=" << key.second;
+    ++checked;
+  }
+  for (std::size_t n = 0; n < tl.flows.size(); ++n) {
+    for (const trace::RatePoint& p : tl.flows[n].rates) {
+      const auto it = observed.find({n, p.time});
+      ASSERT_NE(it, observed.end()) << "span " << n << " rate point at t=" << p.time;
+      EXPECT_EQ(p.rate, it->second) << "span " << n << " at t=" << p.time;
+    }
+  }
+  EXPECT_GT(checked, 500u);
 }
 
 }  // namespace

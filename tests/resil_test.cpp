@@ -482,6 +482,66 @@ TEST(ResilExec, NodeLocalCrashRollsBackDoneProducer) {
   (void)g0;
 }
 
+TEST(ResilExec, RollbackPullsQueuedChildOutOfTheReadyQueue) {
+  // p writes a BB-only intermediate that c1 and c2 both read; both need
+  // the whole host, so c1 runs while c2 waits in the ready queue. The
+  // node dies during c1's read: c1 is killed and requeued, the replica is
+  // lost, and rolling p back must pull both children out of the queue --
+  // otherwise c2 would start reading a file no replica holds. Both may
+  // start only after p's re-run has re-produced the file.
+  wf::Workflow w;
+  w.add_file({"f", 4000.0});
+  w.add_task({"p", "compute", 4e10, 0, 4, {}, {"f"}});
+  w.add_task({"c1", "compute", 4e9, 0, 4, {"f"}, {}});
+  w.add_task({"c2", "compute", 4e9, 0, 4, {"f"}, {}});
+
+  ExecutionConfig base;
+  base.audit = true;
+  const Result twin = Simulation(tiny(StorageKind::NodeLocalBB), w, base).run();
+  ASSERT_EQ(twin.audit_violations, 0u);
+  const double rd_start = twin.tasks.at("c1").t_start;
+  const double rd_end = twin.tasks.at("c1").t_reads_done;
+  ASSERT_GT(rd_end, rd_start + 1.0);
+  ASSERT_GE(twin.tasks.at("c2").t_start, twin.tasks.at("c1").t_end);
+
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; s < 5000 && seed == 0; ++s) {
+    FaultModel probe(FaultSpec::parse("node_mtbf=60,seed=" + std::to_string(s)), 1);
+    const double a = probe.next_node_gap(0);
+    const double b = probe.next_node_gap(0);
+    if (a > rd_start + 0.5 && a < rd_end - 0.5 && b > 110.0) seed = s;
+  }
+  ASSERT_NE(seed, 0u) << "no seed crashes inside c1's read window";
+
+  ExecutionConfig cfg = base;
+  cfg.faults = FaultSpec::parse("node_mtbf=60,node_repair=30,seed=" +
+                                std::to_string(seed));
+  const Result r = Simulation(tiny(StorageKind::NodeLocalBB), w, cfg).run();
+
+  ASSERT_NE(r.resil_stats, nullptr);
+  const RunStats& st = *r.resil_stats;
+  EXPECT_EQ(st.rollbacks, 1);
+  EXPECT_EQ(st.tasks.at("p").attempts, 2);
+  EXPECT_EQ(st.tasks.at("c1").kills, 1);
+  EXPECT_EQ(st.tasks.at("c2").kills, 0);  // never started before the crash
+  EXPECT_EQ(r.audit_violations, 0u);
+  const exec::TaskRecord& p = r.tasks.at("p");
+  const exec::TaskRecord& c2 = r.tasks.at("c2");
+  EXPECT_GE(r.tasks.at("c1").t_start, p.t_end);
+  EXPECT_GE(c2.t_ready, p.t_end);  // re-readied by p's second completion
+  EXPECT_GE(c2.t_start, p.t_end);
+  // c2 became ready twice (after each run of p) but started exactly once.
+  int c2_ready = 0;
+  int c2_start = 0;
+  for (const auto& ev : r.trace) {
+    if (ev.task != "c2") continue;
+    if (ev.kind == TraceEventKind::TaskReady) ++c2_ready;
+    if (ev.kind == TraceEventKind::TaskStart) ++c2_start;
+  }
+  EXPECT_EQ(c2_ready, 2);
+  EXPECT_EQ(c2_start, 1);
+}
+
 TEST(ResilExec, BbDegradationWindowSlowsStagedRead) {
   // Input staged to the BB reads 8000 B at 800 B/s. A 0.5x degradation at
   // t = g rescales the remaining bytes to 400 B/s:

@@ -1,10 +1,7 @@
 #include "cli/options.hpp"
 
-#include "exec/placement.hpp"
 #include "resil/fault.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
-#include "util/units.hpp"
 
 namespace bbsim::cli {
 
@@ -95,42 +92,7 @@ Output:
 )";
 }
 
-std::shared_ptr<exec::PlacementPolicy> make_policy(const std::string& spec) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
-  if (kind == "all_pfs") return exec::all_pfs_policy();
-  if (kind == "all_bb") return exec::all_bb_policy();
-  if (kind == "fraction") {
-    if (arg.empty()) throw ConfigError("policy fraction:<0..1> needs a value");
-    return std::make_shared<exec::FractionPolicy>(std::stod(arg),
-                                                  exec::Tier::BurstBuffer);
-  }
-  if (kind == "size") {
-    if (arg.empty()) throw ConfigError("policy size:<bytes> needs a value");
-    return std::make_shared<exec::SizeThresholdPolicy>(util::parse_size(arg));
-  }
-  if (kind == "size_inv") {
-    if (arg.empty()) throw ConfigError("policy size_inv:<bytes> needs a value");
-    return std::make_shared<exec::SizeThresholdPolicy>(util::parse_size(arg), true);
-  }
-  if (kind == "locality") return std::make_shared<exec::LocalityPolicy>();
-  if (kind == "greedy") {
-    if (arg.empty()) throw ConfigError("policy greedy:<bytes> needs a value");
-    return std::make_shared<exec::GreedyBytesPolicy>(util::parse_size(arg));
-  }
-  throw ConfigError("unknown placement policy '" + spec + "'");
-}
-
 namespace {
-
-exec::SchedulerPolicy scheduler_from(const std::string& name) {
-  if (name == "fcfs") return exec::SchedulerPolicy::Fcfs;
-  if (name == "critical_path") return exec::SchedulerPolicy::CriticalPathFirst;
-  if (name == "largest_first") return exec::SchedulerPolicy::LargestFirst;
-  if (name == "smallest_first") return exec::SchedulerPolicy::SmallestFirst;
-  throw ConfigError("unknown scheduler '" + name + "'");
-}
 
 testbed::System system_from(const std::string& name) {
   if (name == "cori-private") return testbed::System::CoriPrivate;
@@ -169,12 +131,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--policy") {
       opt.policy = next_value(a);
     } else if (a == "--scheduler") {
-      opt.scheduler = scheduler_from(next_value(a));
+      opt.scheduler = exec::scheduler_from_string(next_value(a));
     } else if (a == "--stage-in") {
-      const std::string v = next_value(a);
-      if (v == "task") opt.stage_in = exec::StageInMode::Task;
-      else if (v == "instant") opt.stage_in = exec::StageInMode::Instant;
-      else throw ConfigError("unknown stage-in mode '" + v + "'");
+      opt.stage_in = exec::stage_in_mode_from_string(next_value(a));
     } else if (a == "--stage-width") {
       opt.stage_width = std::stoi(next_value(a));
     } else if (a == "--stage-out") {

@@ -76,8 +76,8 @@ CliOptions parse_cli(const std::vector<std::string>& args);
 /// The --help text.
 std::string usage();
 
-/// Builds a placement policy from its CLI spec, e.g. "fraction:0.5",
+/// Builds a placement policy from its --policy spec, e.g. "fraction:0.5",
 /// "size:64MB", "greedy:4GB", "all_pfs". Throws util::ConfigError.
-std::shared_ptr<exec::PlacementPolicy> make_policy(const std::string& spec);
+using exec::make_policy;
 
 }  // namespace bbsim::cli

@@ -35,74 +35,6 @@ const char* to_string(Blame blame) {
   return "unknown";
 }
 
-void Recorder::record_ready(const std::string& task, double time,
-                            ReadyCause cause) {
-  trace(task).ready.push_back(ReadyEvent{time, std::move(cause)});
-}
-
-void Recorder::record_abort(const std::string& task, double t_ready,
-                            double t_start, double t_until) {
-  TaskTrace& tr = trace(task);
-  tr.aborted.push_back(AbortedAttempt{t_ready, t_start, t_until});
-  // The attempt-scoped tallies describe the attempt that just died; the
-  // surviving attempt starts from scratch.
-  tr.read_bb_bytes = tr.read_pfs_bytes = 0.0;
-  tr.write_bb_bytes = tr.write_pfs_bytes = 0.0;
-  tr.read_bb_ops = tr.read_pfs_ops = 0;
-  tr.write_bb_ops = tr.write_pfs_ops = 0;
-  tr.ckpt_bb_seconds = tr.ckpt_pfs_seconds = 0.0;
-  tr.restart_delay_seconds = 0.0;
-}
-
-void Recorder::record_read_bytes(const std::string& task, double bytes,
-                                 bool burst_buffer) {
-  TaskTrace& tr = trace(task);
-  if (burst_buffer) {
-    tr.read_bb_bytes += bytes;
-    ++tr.read_bb_ops;
-  } else {
-    tr.read_pfs_bytes += bytes;
-    ++tr.read_pfs_ops;
-  }
-}
-
-void Recorder::record_write_bytes(const std::string& task, double bytes,
-                                  bool burst_buffer) {
-  TaskTrace& tr = trace(task);
-  if (burst_buffer) {
-    tr.write_bb_bytes += bytes;
-    ++tr.write_bb_ops;
-  } else {
-    tr.write_pfs_bytes += bytes;
-    ++tr.write_pfs_ops;
-  }
-}
-
-void Recorder::record_ckpt_stall(const std::string& task, double seconds,
-                                 bool burst_buffer) {
-  TaskTrace& tr = trace(task);
-  if (burst_buffer) {
-    tr.ckpt_bb_seconds += seconds;
-  } else {
-    tr.ckpt_pfs_seconds += seconds;
-  }
-}
-
-void Recorder::record_restart_delay(const std::string& task, double seconds) {
-  trace(task).restart_delay_seconds += seconds;
-}
-
-void Recorder::record_implicit_stage(double start, double end) {
-  implicit_ = true;
-  implicit_start_ = start;
-  implicit_end_ = end;
-}
-
-const TaskTrace* Recorder::find(const std::string& task) const {
-  auto it = tasks_.find(task);
-  return it == tasks_.end() ? nullptr : &it->second;
-}
-
 double Report::path_length() const {
   double total = 0.0;
   for (const Segment& seg : path) total += seg.duration();
@@ -209,7 +141,15 @@ void split_transfer_window(std::vector<Segment>& out, const std::string& task,
   push_segment(out, task, phase, Blame::kPfsTransfer, mid, end);
 }
 
-ChainWalk walk_task(const TaskTimes& task, const TaskTrace* trace) {
+// Transfer weights of one window, BB then PFS: the bytes moved, or the op
+// counts when no bytes moved at all (a pure-metadata window).
+std::pair<double, double> tier_weights(const TierIo& bb, const TierIo& pfs) {
+  if (bb.bytes > 0.0 || pfs.bytes > 0.0) return {bb.bytes, pfs.bytes};
+  return {static_cast<double>(bb.ops), static_cast<double>(pfs.ops)};
+}
+
+ChainWalk walk_task(const TaskTimes& task) {
+  const TaskTrace& trace = task.trace;
   ChainWalk walk;
   // Final-attempt phases, chronological. For stage-in pseudo tasks the whole
   // active span is a PFS->BB copy.
@@ -219,30 +159,12 @@ ChainWalk walk_task(const TaskTimes& task, const TaskTrace* trace) {
     push_segment(walk.segments, task.name, "stage", Blame::kPfsTransfer,
                  task.t_start, task.t_end);
   } else {
-    double read_bb = 0.0;
-    double read_pfs = 0.0;
-    double write_bb = 0.0;
-    double write_pfs = 0.0;
-    double ckpt_bb = 0.0;
-    double ckpt_pfs = 0.0;
-    double restart_delay = 0.0;
-    if (trace != nullptr) {
-      read_bb = trace->read_bb_bytes > 0.0 || trace->read_pfs_bytes > 0.0
-                    ? trace->read_bb_bytes
-                    : static_cast<double>(trace->read_bb_ops);
-      read_pfs = trace->read_bb_bytes > 0.0 || trace->read_pfs_bytes > 0.0
-                     ? trace->read_pfs_bytes
-                     : static_cast<double>(trace->read_pfs_ops);
-      write_bb = trace->write_bb_bytes > 0.0 || trace->write_pfs_bytes > 0.0
-                     ? trace->write_bb_bytes
-                     : static_cast<double>(trace->write_bb_ops);
-      write_pfs = trace->write_bb_bytes > 0.0 || trace->write_pfs_bytes > 0.0
-                      ? trace->write_pfs_bytes
-                      : static_cast<double>(trace->write_pfs_ops);
-      ckpt_bb = trace->ckpt_bb_seconds;
-      ckpt_pfs = trace->ckpt_pfs_seconds;
-      restart_delay = trace->restart_delay_seconds;
-    }
+    const AttemptTally& attempt = trace.attempt;
+    const auto [read_bb, read_pfs] = tier_weights(attempt.read_bb, attempt.read_pfs);
+    const auto [write_bb, write_pfs] = tier_weights(attempt.write_bb, attempt.write_pfs);
+    const double ckpt_bb = attempt.ckpt_bb_seconds;
+    const double ckpt_pfs = attempt.ckpt_pfs_seconds;
+    const double restart_delay = attempt.restart_delay_seconds;
     split_transfer_window(walk.segments, task.name, "read", task.t_start,
                           task.t_reads_done, restart_delay, read_bb, read_pfs);
     // Compute window: productive compute first, then the checkpoint-write
@@ -276,12 +198,12 @@ ChainWalk walk_task(const TaskTimes& task, const TaskTrace* trace) {
   // (parent rollback) added a readiness event with no matching abort.
   walk.terminal = ReadyCause{};
   walk.arrival = task.t_ready;
-  if (trace == nullptr || trace->ready.empty()) return walk;
-  std::size_t i = trace->ready.size() - 1;
-  std::size_t remaining_aborts = trace->aborted.size();
+  if (trace.ready.empty()) return walk;
+  std::size_t i = trace.ready.size() - 1;
+  std::size_t remaining_aborts = trace.aborted.size();
   std::vector<Segment> prior;  // reverse chronological
   for (;;) {
-    const ReadyEvent& event = trace->ready[i];
+    const ReadyEvent& event = trace.ready[i];
     const bool resumed = event.cause.kind == ReadyCause::Kind::kRequeue ||
                          event.cause.kind == ReadyCause::Kind::kRollback;
     if (!resumed || i == 0 || remaining_aborts == 0) {
@@ -289,7 +211,7 @@ ChainWalk walk_task(const TaskTimes& task, const TaskTrace* trace) {
       walk.arrival = event.time;
       break;
     }
-    const AbortedAttempt& attempt = trace->aborted[--remaining_aborts];
+    const AbortedAttempt& attempt = trace.aborted[--remaining_aborts];
     push_segment(prior, task.name, "rework", Blame::kRecoveryRework,
                  attempt.t_start, event.time);
     push_segment(prior, task.name, "wait", Blame::kQueueWait, attempt.t_ready,
@@ -326,7 +248,7 @@ std::array<double, kBlameCount> scale_all_but(
 
 }  // namespace
 
-Report analyze(const Recorder& recorder, const AnalyzeInput& input) {
+Report analyze(const AnalyzeInput& input) {
   Report report;
   report.makespan = input.makespan;
   if (input.tasks.empty()) {
@@ -345,7 +267,7 @@ Report analyze(const Recorder& recorder, const AnalyzeInput& input) {
   std::vector<ChainWalk> walks;
   walks.reserve(input.tasks.size());
   for (const TaskTimes& task : input.tasks) {
-    walks.push_back(walk_task(task, recorder.find(task.name)));
+    walks.push_back(walk_task(task));
   }
 
   // --- Critical path: back-walk from the task that sets the makespan. ---
@@ -375,10 +297,10 @@ Report analyze(const Recorder& recorder, const AnalyzeInput& input) {
       continue;
     }
     // Workflow start. Any remaining head time is the implicit stage-in
-    // window if one was recorded, otherwise a start gap kept as queue wait
-    // so the partition of [0, makespan] stays exact.
+    // window if one ran, otherwise a start gap kept as queue wait so the
+    // partition of [0, makespan] stays exact.
     if (walk.arrival > 0.0) {
-      if (recorder.has_implicit_stage()) {
+      if (input.implicit_stage_in) {
         push_segment(rev_path, kImplicitStageName, "stage",
                      Blame::kPfsTransfer, 0.0, walk.arrival);
       } else {
@@ -490,16 +412,20 @@ Report analyze(const Recorder& recorder, const AnalyzeInput& input) {
           walk.arrival > 0.0) {
         // Virtual head node: the implicit stage-in window is a PFS
         // transfer; a bare start gap scales with queue wait.
-        const Blame head = recorder.has_implicit_stage()
-                               ? Blame::kPfsTransfer
-                               : Blame::kQueueWait;
+        const Blame head =
+            input.implicit_stage_in ? Blame::kPfsTransfer : Blame::kQueueWait;
         base = scenario.scale[blame_index(head)] * walk.arrival;
       }
       for (const std::string& parent : input.tasks[idx].parents) {
         auto it = by_name.find(parent);
-        if (it != by_name.end()) {
-          base = std::max(base, finish[it->second]);
-        }
+        if (it == by_name.end()) continue;
+        // A parent whose final attempt ended after this chain began was
+        // rolled back after this task had consumed an earlier attempt of
+        // it, which no replay node models: that edge stays at the
+        // observed readiness time.
+        base = std::max(base, input.tasks[it->second].t_end > walk.arrival
+                                  ? walk.arrival
+                                  : finish[it->second]);
       }
       double work = 0.0;
       for (std::size_t c = 0; c < kBlameCount; ++c) {

@@ -1,15 +1,16 @@
 // Causal critical-path extraction and makespan blame attribution.
 //
-// During a run the engine feeds a Recorder with the causal facts the final
-// task records cannot reconstruct on their own: why each task became ready
-// (workflow start, a parent's completion, a requeue after a crash, a
-// rollback), which attempts were aborted and when, how each attempt's bytes
-// split between burst buffer and PFS, and how long checkpoint writes stalled
-// compute. A post-run pass (`analyze`) walks backwards from the task that
-// determines the makespan and partitions [0, makespan] into contiguous
-// segments, each charged to exactly one blame class — so the critical-path
-// length and the per-class blame totals both equal the makespan by
-// construction, which the auditor cross-checks at 1e-9.
+// During a run the engine folds into each task's TaskTrace the causal facts
+// the final task records cannot reconstruct on their own: why the task
+// became ready (workflow start, a parent's completion, a requeue after a
+// crash, a rollback), which attempts were aborted and when, how the
+// surviving attempt's bytes split between burst buffer and PFS, and how
+// long checkpoint writes stalled compute. A post-run pass (`analyze`) walks
+// backwards from the task that determines the makespan and partitions
+// [0, makespan] into contiguous segments, each charged to exactly one blame
+// class — so the critical-path length and the per-class blame totals both
+// equal the makespan by construction, which the auditor cross-checks at
+// 1e-9.
 //
 // The same per-task decomposition doubles as a replayable graph: `analyze`
 // re-walks it with one blame class scaled (e.g. BB transfer x0 = "infinite
@@ -77,63 +78,32 @@ struct AbortedAttempt {
   double t_until = 0.0;
 };
 
-/// Everything recorded about one task during the run.
-struct TaskTrace {
-  std::vector<ReadyEvent> ready;        ///< chronological
-  std::vector<AbortedAttempt> aborted;  ///< chronological
-  // Byte tier split of the surviving attempt (reset when an attempt dies).
-  // Op counts break ties when a window is all metadata (zero bytes).
-  double read_bb_bytes = 0.0;
-  double read_pfs_bytes = 0.0;
-  double write_bb_bytes = 0.0;
-  double write_pfs_bytes = 0.0;
-  std::size_t read_bb_ops = 0;
-  std::size_t read_pfs_ops = 0;
-  std::size_t write_bb_ops = 0;
-  std::size_t write_pfs_ops = 0;
-  // Restart latency paid at the start of the surviving attempt.
+/// Bytes and operations one attempt moved through one storage tier.
+struct TierIo {
+  double bytes = 0.0;
+  std::size_t ops = 0;  ///< break ties when a window is all metadata
+};
+
+/// What the surviving attempt of a task did. A fault that aborts the
+/// attempt discards it; the next attempt starts from zero.
+struct AttemptTally {
+  TierIo read_bb;
+  TierIo read_pfs;
+  TierIo write_bb;
+  TierIo write_pfs;
+  /// Restart latency paid before the attempt's reads began.
   double restart_delay_seconds = 0.0;
-  // Compute-phase seconds the surviving attempt spent blocked on
-  // checkpoint writes, by destination tier.
+  /// Compute-phase seconds the attempt spent blocked on checkpoint writes,
+  /// by destination tier.
   double ckpt_bb_seconds = 0.0;
   double ckpt_pfs_seconds = 0.0;
 };
 
-/// Run-time event sink. Nullable-observer like stats::MetricsRegistry and
-/// trace::TimelineRecorder: the engine holds a pointer that is null unless
-/// `--critpath` is on, so a run without it pays one pointer test per hooked
-/// event.
-class Recorder {
- public:
-  void record_ready(const std::string& task, double time, ReadyCause cause);
-  /// Called when a fault aborts an attempt, before the engine resets the
-  /// task record. Also discards the attempt-scoped byte/stall tallies.
-  void record_abort(const std::string& task, double t_ready, double t_start,
-                    double t_until);
-  void record_read_bytes(const std::string& task, double bytes,
-                         bool burst_buffer);
-  void record_write_bytes(const std::string& task, double bytes,
-                          bool burst_buffer);
-  void record_ckpt_stall(const std::string& task, double seconds,
-                         bool burst_buffer);
-  /// Latency the platform charges before a restarted attempt's reads begin.
-  void record_restart_delay(const std::string& task, double seconds);
-  /// Implicit whole-workflow stage-in window (stage_in_mode "implicit"):
-  /// entry tasks are only ready once it completes.
-  void record_implicit_stage(double start, double end);
-
-  const TaskTrace* find(const std::string& task) const;
-  bool has_implicit_stage() const { return implicit_; }
-  double implicit_stage_start() const { return implicit_start_; }
-  double implicit_stage_end() const { return implicit_end_; }
-
- private:
-  TaskTrace& trace(const std::string& task) { return tasks_[task]; }
-
-  std::map<std::string, TaskTrace> tasks_;  // name-ordered: deterministic
-  bool implicit_ = false;
-  double implicit_start_ = 0.0;
-  double implicit_end_ = 0.0;
+/// Everything the run recorded about one task.
+struct TaskTrace {
+  std::vector<ReadyEvent> ready;        ///< chronological
+  std::vector<AbortedAttempt> aborted;  ///< chronological
+  AttemptTally attempt;                 ///< the surviving attempt
 };
 
 /// Final timings of one executed task, as the engine's records carry them.
@@ -146,6 +116,7 @@ struct TaskTimes {
   double t_compute_done = 0.0;
   double t_end = 0.0;
   std::vector<std::string> parents;  ///< workflow dependency edges
+  TaskTrace trace;                    ///< causal facts the run recorded
 };
 
 /// One contiguous slice of the critical path, charged to one blame class.
@@ -182,16 +153,21 @@ struct Report {
   json::Value to_json() const;
 };
 
-/// Inputs `analyze` needs beyond the Recorder.
+/// Everything `analyze` reads.
 struct AnalyzeInput {
   std::vector<TaskTimes> tasks;
   double makespan = 0.0;            ///< includes any trailing stage-out
   double stage_out_duration = 0.0;  ///< explicit stage-out drain tail
+  /// The run staged its inputs in one window before any task (a staging
+  /// plan on a workflow without a stage-in task). Entry tasks became ready
+  /// when it ended, so the window heads their chains as a PFS transfer
+  /// instead of queue wait.
+  bool implicit_stage_in = false;
 };
 
 /// Extract the critical path, attribute blame, compute per-task slack, and
 /// run the standard what-if scenarios. Pure function of its inputs, so the
 /// report is byte-identical across repeated runs and worker counts.
-Report analyze(const Recorder& recorder, const AnalyzeInput& input);
+Report analyze(const AnalyzeInput& input);
 
 }  // namespace bbsim::critpath

@@ -14,12 +14,70 @@ namespace bbsim::exec {
 using platform::StorageKind;
 using util::ConfigError;
 using util::InvariantError;
+using ReadyKind = critpath::ReadyCause::Kind;
 
 namespace {
 constexpr const char* kStageInType = "stage_in";
 /// Checkpoint files are "<task>.ckpt": outside the workflow's file set, so
 /// byte-conservation audits (which track declared files) ignore them.
 constexpr const char* kCkptSuffix = ".ckpt";
+
+critpath::TierIo& tier_io(Tier tier, critpath::TierIo& bb, critpath::TierIo& pfs) {
+  return tier == Tier::BurstBuffer ? bb : pfs;
+}
+
+/// Fold one event of a task into its causal summary. `rec` is the task's
+/// record as it stands when the event is emitted.
+void fold(critpath::TaskTrace& tr, const TaskRecord& rec, const TraceEventView& e) {
+  critpath::AttemptTally& attempt = tr.attempt;
+  switch (e.kind) {
+    case TraceEventKind::TaskReady:
+      tr.ready.push_back({e.time, {e.cause, std::string(e.parent)}});
+      return;
+    case TraceEventKind::TaskKilled:
+    case TraceEventKind::Rollback:
+      // The attempt died: its window becomes rework and its tallies go
+      // with it.
+      tr.aborted.push_back({rec.t_ready, rec.t_start, e.time});
+      attempt = {};
+      return;
+    case TraceEventKind::TaskRestart:
+      attempt.restart_delay_seconds += e.amount;
+      return;
+    case TraceEventKind::Read: {
+      critpath::TierIo& io = tier_io(e.tier, attempt.read_bb, attempt.read_pfs);
+      io.bytes += e.amount;
+      ++io.ops;
+      return;
+    }
+    case TraceEventKind::Write: {
+      critpath::TierIo& io = tier_io(e.tier, attempt.write_bb, attempt.write_pfs);
+      io.bytes += e.amount;
+      ++io.ops;
+      return;
+    }
+    case TraceEventKind::CheckpointDone:
+      if (e.tier == Tier::BurstBuffer) {
+        attempt.ckpt_bb_seconds += e.amount;
+      } else {
+        attempt.ckpt_pfs_seconds += e.amount;
+      }
+      return;
+    default:
+      return;
+  }
+}
+}  // namespace
+
+const char* to_string(StageInMode mode) {
+  return mode == StageInMode::Task ? "task" : "instant";
+}
+
+StageInMode stage_in_mode_from_string(const std::string& name) {
+  for (const StageInMode mode : {StageInMode::Task, StageInMode::Instant}) {
+    if (name == to_string(mode)) return mode;
+  }
+  throw ConfigError("unknown stage-in mode '" + name + "'");
 }
 
 const char* to_string(SchedulerPolicy policy) {
@@ -30,6 +88,15 @@ const char* to_string(SchedulerPolicy policy) {
     case SchedulerPolicy::SmallestFirst: return "smallest_first";
   }
   return "?";
+}
+
+SchedulerPolicy scheduler_from_string(const std::string& name) {
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::Fcfs, SchedulerPolicy::CriticalPathFirst,
+        SchedulerPolicy::LargestFirst, SchedulerPolicy::SmallestFirst}) {
+    if (name == to_string(policy)) return policy;
+  }
+  throw ConfigError("unknown scheduler '" + name + "'");
 }
 
 Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& workflow,
@@ -47,7 +114,6 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
     timeline_rec_->set_host_names(std::move(host_names));
   }
   if (profiler_) placement_profile_ = profiler_->section("exec.placement");
-  if (config_.critpath) critpath_ = std::make_unique<critpath::Recorder>();
 }
 
 obs::Sinks Simulation::make_sinks() {
@@ -94,10 +160,19 @@ int Simulation::cores_for(const wf::Task& task) const {
   return std::max(1, cores);
 }
 
-void Simulation::trace(TraceEventKind kind, const std::string& task,
-                       std::string detail) {
-  if (!config_.collect_trace) return;
-  trace_.push_back(TraceEvent{fabric_.engine().now(), kind, task, std::move(detail)});
+void Simulation::trace(TraceEventKind kind, TaskState* ts, TraceEventView e) {
+  const bool store = config_.collect_trace && exported(kind);
+  critpath::TaskTrace* causal = ts != nullptr ? ts->causal.get() : nullptr;
+  if (!store && causal == nullptr) return;
+  e.time = fabric_.engine().now();
+  e.kind = kind;
+  if (ts != nullptr) e.task = ts->task->name;
+  if (store) {
+    trace_.push_back(TraceEvent{e.time, e.kind, std::string(e.task), std::string(e.file),
+                                std::string(e.service), std::string(e.parent), e.host,
+                                e.count, e.amount, e.scale, e.duration, e.tier, e.cause});
+  }
+  if (causal != nullptr) fold(*causal, ts->record, e);
 }
 
 void Simulation::prepare() {
@@ -139,6 +214,7 @@ void Simulation::prepare() {
     st.record.name = t.name;
     st.record.type = t.type;
     st.record.cores = st.cores;
+    if (config_.critpath) st.causal = std::make_unique<critpath::TaskTrace>();
     states_.emplace(t.name, std::move(st));
   }
   tasks_remaining_ = names.size();
@@ -179,17 +255,7 @@ void Simulation::prepare() {
   // Mark entry tasks ready.
   for (const std::string& name : topo_order_) {
     TaskState& st = states_.at(name);
-    if (st.remaining_parents == 0) {
-      st.ready = true;
-      st.record.t_ready = fabric_.engine().now();
-      enqueue_ready(st);
-      trace(TraceEventKind::TaskReady, name);
-      if (critpath_) {
-        critpath_->record_ready(
-            name, st.record.t_ready,
-            {critpath::ReadyCause::Kind::kWorkflowStart, {}});
-      }
-    }
+    if (st.remaining_parents == 0) make_ready(st, ReadyKind::kWorkflowStart);
   }
   setup_resil();
   try_schedule();
@@ -236,6 +302,13 @@ void Simulation::enqueue_ready(TaskState& ts) {
     }
   }
   ready_queue_.insert(pos, &ts);
+}
+
+void Simulation::make_ready(TaskState& ts, ReadyKind cause, std::string_view parent) {
+  ts.ready = true;
+  ts.record.t_ready = fabric_.engine().now();
+  enqueue_ready(ts);
+  trace(TraceEventKind::TaskReady, &ts, {.parent = parent, .cause = cause});
 }
 
 std::size_t Simulation::pick_host(const TaskState& ts) const {
@@ -293,20 +366,17 @@ void Simulation::start_task(TaskState& ts, std::size_t host) {
   ts.record.host = host;
   free_cores_[host] -= ts.cores;
   ts.record.t_start = fabric_.engine().now();
-  trace(TraceEventKind::TaskStart, ts.task->name,
-        util::format("host=%zu cores=%d", host, ts.cores));
+  trace(TraceEventKind::TaskStart, &ts, {.host = host, .count = ts.cores});
 
   if (ts.task->type == kStageInType) {
     run_stage_in(ts);
     return;
   }
   if (resil_ != nullptr && ts.attempt > 0) {
-    trace(TraceEventKind::TaskRestart, ts.task->name,
-          util::format("attempt=%d", ts.attempt + 1));
-    const double delay = config_.checkpoint.restart_latency;
+    // Restart overhead: re-launch plus reading the checkpoint image back.
+    const double delay = std::max(0.0, config_.checkpoint.restart_latency);
+    trace(TraceEventKind::TaskRestart, &ts, {.count = ts.attempt + 1, .amount = delay});
     if (delay > 0.0) {
-      // Restart overhead: re-launch plus reading the checkpoint image back.
-      if (critpath_) critpath_->record_restart_delay(ts.task->name, delay);
       ts.event_pending = true;
       ts.pending_event = fabric_.engine().schedule_in(delay, [this, &ts] {
         ts.event_pending = false;
@@ -407,8 +477,8 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
       // The allocation is full: the file stays on the PFS (and is counted).
       ++skipped_stage_files_;
       bump("storage.skipped_stage_ins");
-      trace(TraceEventKind::StageSkipped,
-            chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in", fname);
+      trace(TraceEventKind::StageSkipped, chain->ts,
+            {.task = "implicit_stage_in", .file = fname});
       continue;
     }
     const std::size_t via_host = staged_file_host_.at(fname);
@@ -416,9 +486,8 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
       chain->ts->record.bytes_read += file.size;
       chain->ts->record.bytes_written += file.size;
     }
-    trace(TraceEventKind::StageFile,
-          chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in",
-          util::format("%s -> bb (host %zu)", fname.c_str(), via_host));
+    trace(TraceEventKind::StageFile, chain->ts,
+          {.task = "implicit_stage_in", .file = fname, .host = via_host});
     ++chain->inflight;
     storage_.transfer(file, storage_.pfs(), *bb(), via_host, [this, chain] {
       --chain->inflight;
@@ -444,10 +513,10 @@ void Simulation::issue_reads(TaskState& ts) {
     last_access_[fname] = fabric_.engine().now();  // LRU bookkeeping
     const storage::FileRef file{fname, workflow_.file(fname).size};
     ts.record.bytes_read += file.size;
-    if (critpath_) {
-      critpath_->record_read_bytes(ts.task->name, file.size,
-                                   src != &storage_.pfs());
-    }
+    trace(TraceEventKind::Read, &ts,
+          {.file = fname,
+           .amount = file.size,
+           .tier = src != &storage_.pfs() ? Tier::BurstBuffer : Tier::PFS});
     if (metrics_) {
       // How long this transfer waited in the task's pending queue (the
       // paper's I/O window is `cores` concurrent files).
@@ -463,13 +532,9 @@ void Simulation::issue_reads(TaskState& ts) {
         issue_reads(ts);
       }
     };
-    // read_cancellable() issues the exact event/flow sequence of read();
-    // keeping the handle just lets kill_task() abort the attempt's I/O.
-    if (resil_ != nullptr) {
-      ts.io_ops.push_back(src->read_cancellable(file, ts.host, std::move(done)));
-    } else {
-      src->read(file, ts.host, std::move(done));
-    }
+    // Keeping the handle lets kill_task() abort the attempt's I/O.
+    storage::IoHandle op = src->read(file, ts.host, std::move(done));
+    if (resil_ != nullptr) ts.io_ops.push_back(std::move(op));
   }
   if (ts.pending_reads.empty() && ts.inflight_io == 0 && ts.task->inputs.empty()) {
     on_reads_done(ts);
@@ -489,7 +554,7 @@ double Simulation::compute_duration(const TaskState& ts) const {
 void Simulation::on_reads_done(TaskState& ts) {
   ts.record.t_reads_done = fabric_.engine().now();
   ts.reading = false;
-  trace(TraceEventKind::ReadsDone, ts.task->name);
+  trace(TraceEventKind::ReadsDone, &ts);
   if (resil_ == nullptr) {
     const double duration = compute_duration(ts);
     fabric_.engine().schedule_in(duration, [this, &ts] { on_compute_done(ts); });
@@ -568,11 +633,10 @@ void Simulation::take_checkpoint(TaskState& ts) {
   storage::StorageService& dst = to_bb ? *bb_svc : storage_.pfs();
   ts.ckpt_size = bytes;
   ts.ckpt_write_start = fabric_.engine().now();
-  trace(TraceEventKind::Checkpoint, ts.task->name,
-        util::format("%s -> %s", file.name.c_str(), dst.name().c_str()));
+  trace(TraceEventKind::Checkpoint, &ts, {.file = file.name, .service = dst.name()});
   bump("resil.checkpoints");
   const double progress = ts.compute_done;
-  ts.ckpt_op = dst.write_cancellable(
+  ts.ckpt_op = dst.write(
       file, ts.host, [this, &ts, progress, bytes, to_bb, file] {
         ts.ckpt_op.reset();
         resil::RunStats& s = resil_->stats;
@@ -580,20 +644,18 @@ void Simulation::take_checkpoint(TaskState& ts) {
         s.checkpoint_bytes_written += bytes;
         s.checkpoint_core_seconds +=
             ts.cores * (fabric_.engine().now() - ts.ckpt_write_start);
-        if (critpath_) {
-          critpath_->record_ckpt_stall(
-              ts.task->name, fabric_.engine().now() - ts.ckpt_write_start,
-              to_bb);
-        }
+        trace(TraceEventKind::CheckpointDone, &ts,
+              {.amount = fabric_.engine().now() - ts.ckpt_write_start,
+               .tier = to_bb ? Tier::BurstBuffer : Tier::PFS});
         if (to_bb) {
           // Asynchronous drain: the image only protects against node loss
           // once its PFS copy exists; compute resumes immediately.
-          ts.drain_op = storage_.transfer_cancellable(
+          ts.drain_op = storage_.transfer(
               file, *bb(), storage_.pfs(), ts.host, [this, &ts, progress, bytes] {
                 ts.drain_op.reset();
                 resil_->stats.checkpoint_bytes_drained += bytes;
                 ts.ckpt_durable = progress;
-                trace(TraceEventKind::CheckpointDrained, ts.task->name);
+                trace(TraceEventKind::CheckpointDrained, &ts);
               });
         } else {
           ts.ckpt_durable = progress;  // written straight to the PFS
@@ -604,7 +666,7 @@ void Simulation::take_checkpoint(TaskState& ts) {
 
 void Simulation::on_compute_done(TaskState& ts) {
   ts.record.t_compute_done = fabric_.engine().now();
-  trace(TraceEventKind::ComputeDone, ts.task->name);
+  trace(TraceEventKind::ComputeDone, &ts);
   for (const std::string& f : ts.task->outputs) ts.pending_writes.push_back(f);
   if (ts.pending_writes.empty()) {
     finish_task(ts);
@@ -670,16 +732,12 @@ void Simulation::issue_writes(TaskState& ts) {
         tier == Tier::BurstBuffer ? *storage_.burst_buffer() : storage_.pfs();
     const storage::FileRef file{fname, workflow_.file(fname).size};
     ts.record.bytes_written += file.size;
-    if (critpath_) {
-      critpath_->record_write_bytes(ts.task->name, file.size,
-                                    tier == Tier::BurstBuffer);
-    }
     if (metrics_) {
       metrics_->histogram("flow.queue_wait_seconds")
           .record(fabric_.engine().now() - ts.record.t_compute_done);
     }
-    trace(TraceEventKind::Write, ts.task->name,
-          util::format("%s -> %s", fname.c_str(), dst.name().c_str()));
+    trace(TraceEventKind::Write, &ts,
+          {.file = fname, .service = dst.name(), .amount = file.size, .tier = tier});
     ++ts.inflight_io;
     auto done = [this, &ts] {
       --ts.inflight_io;
@@ -689,11 +747,8 @@ void Simulation::issue_writes(TaskState& ts) {
         issue_writes(ts);
       }
     };
-    if (resil_ != nullptr) {
-      ts.io_ops.push_back(dst.write_cancellable(file, ts.host, std::move(done)));
-    } else {
-      dst.write(file, ts.host, std::move(done));
-    }
+    storage::IoHandle op = dst.write(file, ts.host, std::move(done));
+    if (resil_ != nullptr) ts.io_ops.push_back(std::move(op));
   }
 }
 
@@ -703,7 +758,7 @@ void Simulation::finish_task(TaskState& ts) {
   ts.done = true;
   free_cores_[ts.host] += ts.cores;
   --tasks_remaining_;
-  trace(TraceEventKind::TaskEnd, ts.task->name);
+  trace(TraceEventKind::TaskEnd, &ts);
   bump("exec.tasks_completed");
   bump("exec.task_wait_time", ts.record.t_start - ts.record.t_ready);
   bump("exec.task_read_time", ts.record.read_time());
@@ -722,17 +777,7 @@ void Simulation::finish_task(TaskState& ts) {
     // A child that finished before this parent was rolled back keeps its
     // result; re-completing the parent must not unblock it twice.
     if (cs.done) continue;
-    if (--cs.remaining_parents == 0) {
-      cs.ready = true;
-      cs.record.t_ready = fabric_.engine().now();
-      enqueue_ready(cs);
-      trace(TraceEventKind::TaskReady, child);
-      if (critpath_) {
-        critpath_->record_ready(
-            child, cs.record.t_ready,
-            {critpath::ReadyCause::Kind::kParent, ts.task->name});
-      }
-    }
+    if (--cs.remaining_parents == 0) make_ready(cs, ReadyKind::kParent, ts.task->name);
   }
   if (tasks_remaining_ == 0 && config_.stage_out) {
     run_stage_out();
@@ -764,7 +809,7 @@ void Simulation::drain_stage_out(std::shared_ptr<const std::vector<std::string>>
   const std::string& fname = (*files)[index];
   const storage::StorageService::Replica* rep = bb_svc->replica(fname);
   const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
-  trace(TraceEventKind::StageOut, "stage_out", fname);
+  trace(TraceEventKind::StageOut, nullptr, {.task = "stage_out", .file = fname});
   storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
                     storage_.pfs(), via_host, [this, files, index, start] {
                       drain_stage_out(files, index + 1, start);
@@ -797,7 +842,7 @@ bool Simulation::try_evict(double bytes) {
     bb_svc->erase_file(c.file);
     ++evicted_files_;
     bump("storage.evictions");
-    trace(TraceEventKind::Evict, "", c.file);
+    trace(TraceEventKind::Evict, nullptr, {.file = c.file});
   }
   return bb_has_room(bytes);
 }
@@ -854,7 +899,7 @@ void Simulation::on_node_crash(std::size_t host) {
   st.host_up[host] = 0;
   ++st.stats.node_crashes;
   bump("resil.node_crashes");
-  trace(TraceEventKind::NodeCrash, "", util::format("host=%zu", host));
+  trace(TraceEventKind::NodeCrash, nullptr, {.host = host});
   sample_hosts_down();
   // Running attempts on the host die. Stage-in pseudo-tasks model the
   // platform's data-movement service, not node-bound work; they survive.
@@ -903,7 +948,7 @@ void Simulation::on_node_repair(std::size_t host) {
   if (st.host_up[host] != 0) return;
   st.host_up[host] = 1;
   ++st.stats.node_repairs;
-  trace(TraceEventKind::NodeRepair, "", util::format("host=%zu", host));
+  trace(TraceEventKind::NodeRepair, nullptr, {.host = host});
   sample_hosts_down();
   // The next crash gap is measured from the end of the repair window, so
   // down-windows of one host never overlap.
@@ -927,14 +972,14 @@ void Simulation::on_bb_degrade() {
   bump("resil.bb_degradations");
   const std::size_t idx = bb()->storage_index();
   fabric_.scale_storage_capacity(idx, spec.bb_degrade);
-  trace(TraceEventKind::BbDegraded, "",
-        util::format("scale=%.3f duration=%.1f", spec.bb_degrade, spec.bb_duration));
+  trace(TraceEventKind::BbDegraded, nullptr,
+        {.scale = spec.bb_degrade, .duration = spec.bb_duration});
   const double end = fabric_.engine().now() + spec.bb_duration;
   fabric_.engine().schedule_at(end, [this, idx] {
     // Restoring with factor 1.0 rescales from the spec nominal, so the
     // capacities come back exactly (no compounding of float error).
     fabric_.scale_storage_capacity(idx, 1.0);
-    trace(TraceEventKind::FaultCleared, "", "bb");
+    trace(TraceEventKind::FaultCleared, nullptr, {.tier = Tier::BurstBuffer});
     if (tasks_remaining_ > 0) {
       schedule_bb_fault(fabric_.engine().now() + resil_->model.next_bb_gap());
     }
@@ -954,13 +999,12 @@ void Simulation::on_pfs_brownout() {
   bump("resil.pfs_brownouts");
   const std::size_t idx = storage_.pfs().storage_index();
   fabric_.scale_storage_capacity(idx, spec.pfs_brownout);
-  trace(TraceEventKind::PfsBrownout, "",
-        util::format("scale=%.3f duration=%.1f", spec.pfs_brownout,
-                     spec.pfs_duration));
+  trace(TraceEventKind::PfsBrownout, nullptr,
+        {.scale = spec.pfs_brownout, .duration = spec.pfs_duration});
   const double end = fabric_.engine().now() + spec.pfs_duration;
   fabric_.engine().schedule_at(end, [this, idx] {
     fabric_.scale_storage_capacity(idx, 1.0);
-    trace(TraceEventKind::FaultCleared, "", "pfs");
+    trace(TraceEventKind::FaultCleared, nullptr, {.tier = Tier::PFS});
     if (tasks_remaining_ > 0) {
       schedule_pfs_fault(fabric_.engine().now() + resil_->model.next_pfs_gap());
     }
@@ -983,10 +1027,6 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   resil::TaskResil& tr = stats.tasks[ts.task->name];
   ++tr.kills;
   tr.lost_core_seconds += lost;
-  if (critpath_) {
-    critpath_->record_abort(ts.task->name, ts.record.t_ready,
-                            ts.record.t_start, now);
-  }
   if (ts.event_pending) {
     fabric_.engine().cancel(ts.pending_event);
     ts.event_pending = false;
@@ -1015,17 +1055,9 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   free_cores_[ts.host] += ts.cores;
   ts.running = false;
   ++ts.attempt;
-  trace(TraceEventKind::TaskKilled, ts.task->name,
-        util::format("host=%zu attempt=%d", ts.host, ts.attempt));
+  trace(TraceEventKind::TaskKilled, &ts, {.host = ts.host, .count = ts.attempt});
   if (requeue) {
-    ts.ready = true;
-    ts.record.t_ready = now;
-    enqueue_ready(ts);
-    trace(TraceEventKind::TaskReady, ts.task->name);
-    if (critpath_) {
-      critpath_->record_ready(ts.task->name, now,
-                              {critpath::ReadyCause::Kind::kRequeue, {}});
-    }
+    make_ready(ts, ReadyKind::kRequeue);
   } else {
     ts.ready = false;
   }
@@ -1033,7 +1065,6 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
 
 void Simulation::rollback_task(TaskState& ts) {
   resil::RunStats& stats = resil_->stats;
-  const double now = fabric_.engine().now();
   ts.done = false;
   ++tasks_remaining_;
   ++stats.rollbacks;
@@ -1049,16 +1080,11 @@ void Simulation::rollback_task(TaskState& ts) {
   ++ts.attempt;
   ts.ckpt_durable = 0.0;  // its checkpoints were deleted when it finished
   ts.compute_done = 0.0;
-  if (critpath_) {
-    // The completed attempt (and the dead time until this crash) becomes
-    // rework on the causal chain.
-    critpath_->record_abort(ts.task->name, ts.record.t_ready,
-                            ts.record.t_start, now);
-  }
   ts.record.bytes_read = 0.0;
   ts.record.bytes_written = 0.0;
-  trace(TraceEventKind::Rollback, ts.task->name,
-        util::format("attempt=%d", ts.attempt + 1));
+  // The completed attempt (and the dead time until this crash) becomes
+  // rework on the causal chain.
+  trace(TraceEventKind::Rollback, &ts, {.count = ts.attempt + 1});
   // Non-done children must wait for the re-run; done children keep their
   // results (their bytes were consumed before the crash).
   for (const std::string& child : workflow_.children(ts.task->name)) {
@@ -1080,14 +1106,7 @@ void Simulation::rollback_task(TaskState& ts) {
     if (!states_.at(parent).done) ++ts.remaining_parents;
   }
   if (ts.remaining_parents == 0) {
-    ts.ready = true;
-    ts.record.t_ready = now;
-    enqueue_ready(ts);
-    trace(TraceEventKind::TaskReady, ts.task->name);
-    if (critpath_) {
-      critpath_->record_ready(ts.task->name, now,
-                              {critpath::ReadyCause::Kind::kRollback, {}});
-    }
+    make_ready(ts, ReadyKind::kRollback);
   } else {
     ts.ready = false;
   }
@@ -1193,7 +1212,7 @@ Result Simulation::collect_result() {
       }
     }
   }
-  if (critpath_) {
+  if (config_.critpath) {
     // Before the profiler publishes (so profile.critpath.* lands in the
     // registry) and before the timeline finishes (so the critical-path
     // links make it into the Perfetto export).
@@ -1203,7 +1222,8 @@ Result Simulation::collect_result() {
     input.makespan = r.makespan;
     input.stage_out_duration = stage_out_duration_;
     input.tasks.reserve(states_.size());
-    for (const auto& [name, st] : states_) {
+    bool stage_task = false;
+    for (auto& [name, st] : states_) {
       critpath::TaskTimes t;
       t.name = name;
       t.stage_in = st.task->type == kStageInType;
@@ -1213,9 +1233,13 @@ Result Simulation::collect_result() {
       t.t_compute_done = st.record.t_compute_done;
       t.t_end = st.record.t_end;
       t.parents = workflow_.parents(name);
+      t.trace = std::move(*st.causal);
+      stage_task = stage_task || t.stage_in;
       input.tasks.push_back(std::move(t));
     }
-    const critpath::Report report = critpath::analyze(*critpath_, input);
+    // A staging window without a stage-in task is run()'s implicit one.
+    input.implicit_stage_in = stage_in_seen_ && !stage_task;
+    const critpath::Report report = critpath::analyze(input);
     r.critpath = report.to_json();
     if (auditor_) {
       const double tol = 1e-9 * std::max(1.0, r.makespan);
@@ -1325,7 +1349,6 @@ Result Simulation::run() {
     chain->files = &staged_files_;
     pump_stage_chain(chain);
     fabric_.engine().run();
-    if (critpath_) critpath_->record_implicit_stage(0.0, fabric_.engine().now());
     // Inputs are now placed; continue with the normal preparation, but make
     // sure prepare() does not re-register/re-stage.
     auto placement_backup = config_.placement;

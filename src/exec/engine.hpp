@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/probes.hpp"
@@ -54,6 +55,10 @@ enum class StageInMode {
   Instant,  ///< pre-staged at t=0 at no cost (stage-in outside the makespan)
 };
 
+const char* to_string(StageInMode mode);  ///< "task" | "instant"
+/// Parses a to_string(StageInMode) name. Throws ConfigError.
+StageInMode stage_in_mode_from_string(const std::string& name);
+
 /// Order in which ready tasks are dispatched onto free cores.
 enum class SchedulerPolicy {
   Fcfs,               ///< by readiness time (submission order on ties)
@@ -63,6 +68,8 @@ enum class SchedulerPolicy {
 };
 
 const char* to_string(SchedulerPolicy policy);
+/// Parses a to_string(SchedulerPolicy) name. Throws ConfigError.
+SchedulerPolicy scheduler_from_string(const std::string& name);
 
 struct ExecutionConfig {
   std::shared_ptr<PlacementPolicy> placement;  ///< default: all_bb_policy()
@@ -109,8 +116,8 @@ struct ExecutionConfig {
   /// collected (never thrown) and exported as Result::audit (schema
   /// bbsim.audit.v1).
   bool audit = false;
-  /// Record the causal event graph (readiness causes, aborted attempts,
-  /// per-tier byte mixes, checkpoint stalls) into a critpath::Recorder and
+  /// Fold the run's events into a causal summary per task (readiness
+  /// causes, aborted attempts, per-tier byte mixes, checkpoint stalls) and
   /// run the post-run critical-path / blame-attribution pass, exported as
   /// Result::critpath (schema bbsim.critpath.v1). Off by default: a run
   /// without it is bitwise-identical to one predating the layer.
@@ -148,8 +155,6 @@ class Simulation {
   trace::Profiler* profiler() { return profiler_.get(); }
   /// The live invariant auditor; nullptr unless config.audit.
   audit::Auditor* auditor() { return auditor_.get(); }
-  /// The live critical-path recorder; nullptr unless config.critpath.
-  critpath::Recorder* critpath_recorder() { return critpath_.get(); }
 
   /// Runs to completion and returns the records. Callable once.
   Result run();
@@ -188,6 +193,9 @@ class Simulation {
     double ckpt_durable = 0.0;   ///< progress recoverable from the PFS
     double ckpt_size = 0.0;      ///< bytes of the last checkpoint written
     double ckpt_write_start = 0.0;
+    /// This task's events, folded for the critical-path pass (set iff
+    /// config.critpath).
+    std::unique_ptr<critpath::TaskTrace> causal;
   };
 
   wf::Workflow workflow_;
@@ -205,9 +213,6 @@ class Simulation {
   platform::Fabric fabric_;
   storage::StorageSystem storage_;
   trace::ProfileSection* placement_profile_ = nullptr;  ///< iff profile
-  /// Causal event recorder (set iff config.critpath). Only exec records
-  /// into it, so it stays out of the bundle.
-  std::unique_ptr<critpath::Recorder> critpath_;
 
   std::map<std::string, TaskState> states_;
   std::vector<std::string> topo_order_;
@@ -282,6 +287,10 @@ class Simulation {
   void compute_priorities();
   /// Insert into the ready queue respecting the scheduler policy.
   void enqueue_ready(TaskState& ts);
+  /// Mark `ts` ready now, queue it and record why (`parent` names the
+  /// parent whose completion readied it).
+  void make_ready(TaskState& ts, critpath::ReadyCause::Kind cause,
+                  std::string_view parent = {});
   /// Drain BB-resident final outputs to the PFS (stage_out option).
   void run_stage_out();
   /// Move files[index..] from the BB to the PFS one after another; each
@@ -335,7 +344,12 @@ class Simulation {
   /// True when the BB has room for `bytes` more.
   bool bb_has_room(double bytes);
   storage::StorageService* bb() { return storage_.burst_buffer(); }
-  void trace(TraceEventKind kind, const std::string& task, std::string detail = "");
+  /// Record one run fact, the only place exec does: the event is appended
+  /// to the trace (collect_trace, exported kinds) and folded into the
+  /// task's causal summary (critpath). `ts` is null for events that belong
+  /// to no task; `event.task` then names them. Builds nothing when neither
+  /// consumer is on.
+  void trace(TraceEventKind kind, TaskState* ts, TraceEventView event = {});
   /// Increment a named metrics counter (no-op when metrics are off).
   void bump(const char* counter_name, double delta = 1.0);
   double compute_duration(const TaskState& ts) const;

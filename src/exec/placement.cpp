@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/units.hpp"
 
 namespace bbsim::exec {
 
@@ -162,6 +163,31 @@ Tier GreedyBytesPolicy::place_output(const wf::Workflow& w, const std::string&,
   // Intermediates ride the BB when small relative to the budget; the
   // engine's capacity accounting is the hard backstop.
   return w.file(file_name).size <= budget_ * 0.05 ? Tier::BurstBuffer : Tier::PFS;
+}
+
+std::shared_ptr<PlacementPolicy> make_policy(const std::string& spec) {
+  const auto colon = spec.find(':');
+  const std::string kind = spec.substr(0, colon);
+  const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
+  const auto need_arg = [&](const char* what) {
+    if (arg.empty()) throw util::ConfigError("policy " + kind + ":<" + what + "> needs a value");
+  };
+  if (kind == "all_pfs") return all_pfs_policy();
+  if (kind == "all_bb") return all_bb_policy();
+  if (kind == "fraction") {
+    need_arg("0..1");
+    return std::make_shared<FractionPolicy>(std::stod(arg), Tier::BurstBuffer);
+  }
+  if (kind == "size" || kind == "size_inv") {
+    need_arg("bytes");
+    return std::make_shared<SizeThresholdPolicy>(util::parse_size(arg), kind == "size_inv");
+  }
+  if (kind == "locality") return std::make_shared<LocalityPolicy>();
+  if (kind == "greedy") {
+    need_arg("bytes");
+    return std::make_shared<GreedyBytesPolicy>(util::parse_size(arg));
+  }
+  throw util::ConfigError("unknown placement policy '" + spec + "'");
 }
 
 }  // namespace bbsim::exec

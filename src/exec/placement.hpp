@@ -109,4 +109,10 @@ class GreedyBytesPolicy final : public PlacementPolicy {
   double budget_;
 };
 
+/// Builds a placement policy from its spec: all_pfs | all_bb |
+/// fraction:<0..1> | size:<BYTES> | size_inv:<BYTES> | locality |
+/// greedy:<BYTES>, BYTES with optional unit suffix (64MB). The grammar of
+/// bbsim_run --policy, sweep specs and fuzzcase files. Throws ConfigError.
+std::shared_ptr<PlacementPolicy> make_policy(const std::string& spec);
+
 }  // namespace bbsim::exec

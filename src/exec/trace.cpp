@@ -1,6 +1,7 @@
 #include "exec/trace.hpp"
 
 #include "resil/fault.hpp"
+#include "util/strings.hpp"
 
 namespace bbsim::exec {
 
@@ -26,8 +27,48 @@ const char* to_string(TraceEventKind kind) {
     case TraceEventKind::Rollback: return "rollback";
     case TraceEventKind::Checkpoint: return "checkpoint";
     case TraceEventKind::CheckpointDrained: return "checkpoint_drained";
+    case TraceEventKind::Read: return "read";
+    case TraceEventKind::CheckpointDone: return "checkpoint_done";
   }
   return "?";
+}
+
+std::string detail(const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::TaskStart:
+      return util::format("host=%zu cores=%d", e.host, e.count);
+    case TraceEventKind::Write:
+    case TraceEventKind::Checkpoint:
+      return util::format("%s -> %s", e.file.c_str(), e.service.c_str());
+    case TraceEventKind::StageFile:
+      return util::format("%s -> bb (host %zu)", e.file.c_str(), e.host);
+    case TraceEventKind::StageSkipped:
+    case TraceEventKind::StageOut:
+    case TraceEventKind::Evict:
+      return e.file;
+    case TraceEventKind::NodeCrash:
+    case TraceEventKind::NodeRepair:
+      return util::format("host=%zu", e.host);
+    case TraceEventKind::BbDegraded:
+    case TraceEventKind::PfsBrownout:
+      return util::format("scale=%.3f duration=%.1f", e.scale, e.duration);
+    case TraceEventKind::FaultCleared:
+      return to_string(e.tier);
+    case TraceEventKind::TaskKilled:
+      return util::format("host=%zu attempt=%d", e.host, e.count);
+    case TraceEventKind::TaskRestart:
+    case TraceEventKind::Rollback:
+      return util::format("attempt=%d", e.count);
+    case TraceEventKind::TaskReady:
+    case TraceEventKind::ReadsDone:
+    case TraceEventKind::ComputeDone:
+    case TraceEventKind::TaskEnd:
+    case TraceEventKind::CheckpointDrained:
+    case TraceEventKind::Read:
+    case TraceEventKind::CheckpointDone:
+      break;
+  }
+  return "";
 }
 
 std::vector<const TaskRecord*> Result::records_of(const std::string& type) const {
@@ -111,7 +152,7 @@ json::Value Result::to_json() const {
     o.set("time", e.time);
     o.set("kind", to_string(e.kind));
     o.set("task", e.task);
-    o.set("detail", e.detail);
+    o.set("detail", detail(e));
     trace_arr.push_back(json::Value(std::move(o)));
   }
   root.set("trace", json::Value(std::move(trace_arr)));

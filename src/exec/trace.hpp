@@ -3,12 +3,16 @@
 // outputs a time-stamped event trace").
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "critpath/critpath.hpp"
+#include "exec/placement.hpp"
 #include "json/json.hpp"
 
 namespace bbsim::trace {
@@ -21,36 +25,49 @@ struct RunStats;
 
 namespace bbsim::exec {
 
-/// The closed set of event kinds the execution engine records. Serialised
+/// The closed set of event kinds the execution engine emits. Serialised
 /// by to_string() -- the JSON wire format is the same snake_case string the
-/// trace always carried; the enum just makes producers typo-proof.
+/// trace always carried; the enum just makes producers typo-proof. The
+/// parentheses name the payload fields a kind sets (BasicTraceEvent).
 enum class TraceEventKind {
-  TaskReady,     ///< all parents finished; the task entered the ready queue
-  TaskStart,     ///< dispatched onto a host (detail: host, cores)
+  TaskReady,     ///< entered the ready queue (cause; parent on a parent edge)
+  TaskStart,     ///< dispatched onto a host (host, count = cores)
   ReadsDone,     ///< last input byte arrived; compute begins
   ComputeDone,   ///< compute finished; writes begin
-  Write,         ///< one output write issued (detail: file -> service)
+  Write,         ///< one output write issued (file, service, tier, amount = bytes)
   TaskEnd,       ///< last output byte landed; cores released
-  StageFile,     ///< one file staged PFS -> BB (detail: file, via host)
-  StageSkipped,  ///< staging skipped: BB full (detail: file)
-  StageOut,      ///< one file drained BB -> PFS (detail: file)
-  Evict,         ///< one staged input evicted from the BB (detail: file)
+  StageFile,     ///< one file staged PFS -> BB (file, host = via host)
+  StageSkipped,  ///< staging skipped: BB full (file)
+  StageOut,      ///< one file drained BB -> PFS (file)
+  Evict,         ///< one staged input evicted from the BB (file)
   // Resilience events (src/resil; only emitted when faults/checkpointing
   // are configured, so fault-free traces are unchanged).
-  NodeCrash,          ///< a host went down (detail: host)
-  NodeRepair,         ///< a host rejoined after repair (detail: host)
-  BbDegraded,         ///< BB bandwidth degradation window opened
-  PfsBrownout,        ///< PFS brownout window opened
-  FaultCleared,       ///< a BB/PFS window closed (detail: which)
-  TaskKilled,         ///< a running attempt was killed (detail: host, attempt)
-  TaskRestart,        ///< a restarted attempt was dispatched (detail: attempt)
+  NodeCrash,          ///< a host went down (host)
+  NodeRepair,         ///< a host rejoined after repair (host)
+  BbDegraded,         ///< BB bandwidth degradation window opened (scale, duration)
+  PfsBrownout,        ///< PFS brownout window opened (scale, duration)
+  FaultCleared,       ///< a BB/PFS window closed (tier)
+  TaskKilled,         ///< a running attempt was killed (host, count = attempts)
+  TaskRestart,        ///< a restarted attempt was dispatched (count = attempt,
+                      ///< amount = restart delay seconds)
   Rollback,           ///< a completed task was un-done by lineage loss
-  Checkpoint,         ///< one checkpoint write issued (detail: file -> tier)
+                      ///< (count = attempt of the re-run)
+  Checkpoint,         ///< one checkpoint write issued (file, service)
   CheckpointDrained,  ///< an async checkpoint drain reached the PFS
+  // Internal events: they feed the critical-path fold but are neither
+  // stored in Result::trace nor exported.
+  Read,            ///< one input read issued (file, tier = source, amount = bytes)
+  CheckpointDone,  ///< a checkpoint write landed (tier, amount = stall seconds)
 };
 
-/// Wire name of a kind ("task_ready", "task_start", ...).
+/// Name of a kind ("task_ready", "task_start", ...). Internal kinds are
+/// named for diagnostics only; they never reach the wire.
 const char* to_string(TraceEventKind kind);
+
+/// Does the kind appear in Result::trace and the exported trace?
+constexpr bool exported(TraceEventKind kind) {
+  return kind != TraceEventKind::Read && kind != TraceEventKind::CheckpointDone;
+}
 
 /// Every kind, in declaration order (tests assert the set is exhaustive).
 inline constexpr TraceEventKind kAllTraceEventKinds[] = {
@@ -64,15 +81,38 @@ inline constexpr TraceEventKind kAllTraceEventKinds[] = {
     TraceEventKind::FaultCleared, TraceEventKind::TaskKilled,
     TraceEventKind::TaskRestart,  TraceEventKind::Rollback,
     TraceEventKind::Checkpoint,   TraceEventKind::CheckpointDrained,
+    TraceEventKind::Read,         TraceEventKind::CheckpointDone,
 };
 
-/// One line of the event trace.
-struct TraceEvent {
+/// One typed event of a run. `Str` is std::string in the stored trace
+/// (TraceEvent) and std::string_view while the engine emits it
+/// (TraceEventView), so emitting copies and formats nothing. A kind sets
+/// the payload fields listed at its enumerator; the rest keep defaults.
+template <class Str>
+struct BasicTraceEvent {
   double time = 0.0;
   TraceEventKind kind = TraceEventKind::TaskReady;
-  std::string task;
-  std::string detail;  ///< free-form (host, file, tier...)
+  /// The task, or "implicit_stage_in" / "stage_out" / "" for events that
+  /// belong to no task.
+  Str task{};
+  Str file{};
+  Str service{};  ///< destination storage service
+  Str parent{};   ///< TaskReady: the parent whose completion readied the task
+  std::size_t host = 0;
+  int count = 0;          ///< cores or attempt number
+  double amount = 0.0;    ///< bytes or seconds
+  double scale = 0.0;     ///< fault bandwidth factor
+  double duration = 0.0;  ///< fault window length (s)
+  Tier tier = Tier::PFS;
+  critpath::ReadyCause::Kind cause = critpath::ReadyCause::Kind::kWorkflowStart;
 };
+
+using TraceEvent = BasicTraceEvent<std::string>;
+using TraceEventView = BasicTraceEvent<std::string_view>;
+
+/// The `detail` text of an exported event ("host=0 cores=4", "f -> bb").
+/// Result::to_json is its only reader.
+std::string detail(const TraceEvent& event);
 
 /// Timings and volumes for one executed task.
 struct TaskRecord {

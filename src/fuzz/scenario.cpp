@@ -12,7 +12,6 @@
 namespace bbsim::fuzz {
 
 using platform::kUnlimited;
-using util::ConfigError;
 using util::ParseError;
 
 namespace {
@@ -27,51 +26,11 @@ double unlimited_or_num(const json::Value& v) {
   return n < 0 ? kUnlimited : n;
 }
 
-exec::StageInMode stage_in_from(const std::string& name) {
-  if (name == "task") return exec::StageInMode::Task;
-  if (name == "instant") return exec::StageInMode::Instant;
-  throw ConfigError("fuzzcase: unknown stage_in mode '" + name + "'");
-}
-
-const char* stage_in_to_string(exec::StageInMode mode) {
-  return mode == exec::StageInMode::Task ? "task" : "instant";
-}
-
-exec::SchedulerPolicy scheduler_from(const std::string& name) {
-  if (name == "fcfs") return exec::SchedulerPolicy::Fcfs;
-  if (name == "critical_path") return exec::SchedulerPolicy::CriticalPathFirst;
-  if (name == "largest_first") return exec::SchedulerPolicy::LargestFirst;
-  if (name == "smallest_first") return exec::SchedulerPolicy::SmallestFirst;
-  throw ConfigError("fuzzcase: unknown scheduler '" + name + "'");
-}
-
 }  // namespace
-
-std::shared_ptr<exec::PlacementPolicy> make_placement(const std::string& spec) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
-  auto number = [&]() {
-    if (arg.empty()) throw ConfigError("placement '" + kind + ":' needs a value");
-    return std::stod(arg);
-  };
-  if (kind == "all_pfs") return exec::all_pfs_policy();
-  if (kind == "all_bb") return exec::all_bb_policy();
-  if (kind == "fraction") {
-    return std::make_shared<exec::FractionPolicy>(number(), exec::Tier::BurstBuffer);
-  }
-  if (kind == "size") return std::make_shared<exec::SizeThresholdPolicy>(number());
-  if (kind == "size_inv") {
-    return std::make_shared<exec::SizeThresholdPolicy>(number(), true);
-  }
-  if (kind == "locality") return std::make_shared<exec::LocalityPolicy>();
-  if (kind == "greedy") return std::make_shared<exec::GreedyBytesPolicy>(number());
-  throw ConfigError("unknown placement policy '" + spec + "'");
-}
 
 exec::ExecutionConfig Scenario::exec_config() const {
   exec::ExecutionConfig cfg;
-  cfg.placement = make_placement(config.placement_spec);
+  cfg.placement = exec::make_policy(config.placement_spec);
   cfg.stage_in_mode = config.stage_in_mode;
   cfg.scheduler = config.scheduler;
   cfg.stage_out = config.stage_out;
@@ -87,7 +46,7 @@ exec::ExecutionConfig Scenario::exec_config() const {
 
 oracle::RefConfig Scenario::ref_config() const {
   oracle::RefConfig cfg;
-  cfg.placement = make_placement(config.placement_spec);
+  cfg.placement = exec::make_policy(config.placement_spec);
   cfg.stage_in_mode = config.stage_in_mode;
   cfg.scheduler = config.scheduler;
   cfg.stage_out = config.stage_out;
@@ -167,7 +126,7 @@ json::Value Scenario::to_json() const {
 
   json::Object cfg;
   cfg.set("placement", config.placement_spec);
-  cfg.set("stage_in", stage_in_to_string(config.stage_in_mode));
+  cfg.set("stage_in", exec::to_string(config.stage_in_mode));
   cfg.set("scheduler", exec::to_string(config.scheduler));
   cfg.set("stage_out", config.stage_out);
   cfg.set("bb_eviction", config.bb_eviction);
@@ -244,8 +203,8 @@ Scenario scenario_from_json(const json::Value& doc) {
 
   const json::Value& cfg = doc.at("config");
   sc.config.placement_spec = cfg.get_string("placement", "all_bb");
-  sc.config.stage_in_mode = stage_in_from(cfg.get_string("stage_in", "task"));
-  sc.config.scheduler = scheduler_from(cfg.get_string("scheduler", "fcfs"));
+  sc.config.stage_in_mode = exec::stage_in_mode_from_string(cfg.get_string("stage_in", "task"));
+  sc.config.scheduler = exec::scheduler_from_string(cfg.get_string("scheduler", "fcfs"));
   sc.config.stage_out = cfg.get_bool("stage_out", false);
   sc.config.bb_eviction = cfg.get_bool("bb_eviction", false);
   sc.config.stage_in_width = static_cast<int>(cfg.get_int("stage_in_width", 1));
@@ -253,7 +212,7 @@ Scenario scenario_from_json(const json::Value& doc) {
   sc.config.locality_pinning = cfg.get_bool("locality_pinning", true);
   sc.config.fault_spec = cfg.get_string("faults", "");
   sc.config.checkpoint_spec = cfg.get_string("checkpoint", "");
-  (void)make_placement(sc.config.placement_spec);  // validate early
+  (void)exec::make_policy(sc.config.placement_spec);  // validate early
   (void)resil::FaultSpec::parse(sc.config.fault_spec);
   (void)resil::CheckpointSpec::parse(sc.config.checkpoint_spec);
   return sc;

@@ -58,11 +58,6 @@ struct Scenario {
   json::Value to_json() const;
 };
 
-/// Instantiates a placement policy from its spec string (the grammar of
-/// bbsim_run --policy, with plain-number byte values). Throws ConfigError
-/// on an unknown spec.
-std::shared_ptr<exec::PlacementPolicy> make_placement(const std::string& spec);
-
 /// Parses a bbsim.fuzzcase.v1 document; throws ParseError / ConfigError on
 /// malformed input (wrong schema, missing sections, invalid DAG).
 Scenario scenario_from_json(const json::Value& doc);

@@ -50,8 +50,7 @@ double IoOp::cancel() {
   return moved_;
 }
 
-IoHandle execute_plan_cancellable(platform::Fabric& fabric, IoPlan plan, Done done,
-                                  Done on_cancel) {
+IoHandle execute_plan(platform::Fabric& fabric, IoPlan plan, Done done, Done on_cancel) {
   auto op = std::make_shared<IoOp>();
   op->fabric_ = &fabric;
   op->done_ = std::move(done);
@@ -102,12 +101,6 @@ IoHandle execute_plan_cancellable(platform::Fabric& fabric, IoPlan plan, Done do
   op->latency_event_ =
       fabric.engine().schedule_in(latency > 0.0 ? latency : 0.0, std::move(start_data));
   return op;
-}
-
-void execute_plan(platform::Fabric& fabric, IoPlan plan, Done done) {
-  // Same machinery, handle discarded: the op lives on inside its own event
-  // and flow callbacks until completion.
-  (void)execute_plan_cancellable(fabric, std::move(plan), std::move(done), nullptr);
 }
 
 StorageService::StorageService(platform::Fabric& fabric, std::size_t storage_idx)
@@ -262,26 +255,15 @@ IoPlan StorageService::plan_write(const FileRef& file, std::size_t host_idx) con
   return plan;
 }
 
-void StorageService::read(const FileRef& file, std::size_t host_idx, Done done) {
-  (void)read_cancellable(file, host_idx, std::move(done));
+IoHandle StorageService::read(const FileRef& file, std::size_t host_idx, Done done) {
+  return execute_plan(fabric_, plan_read(file, host_idx), std::move(done));
 }
 
-void StorageService::write(const FileRef& file, std::size_t host_idx, Done done) {
-  // The replica becomes visible only when the last byte lands.
-  (void)write_cancellable(file, host_idx, std::move(done));
-}
-
-IoHandle StorageService::read_cancellable(const FileRef& file, std::size_t host_idx,
-                                          Done done) {
-  return execute_plan_cancellable(fabric_, plan_read(file, host_idx), std::move(done),
-                                  nullptr);
-}
-
-IoHandle StorageService::write_cancellable(const FileRef& file, std::size_t host_idx,
-                                           Done done) {
+IoHandle StorageService::write(const FileRef& file, std::size_t host_idx, Done done) {
   IoPlan plan = plan_write(file, host_idx);
   reserve_capacity(file);
-  return execute_plan_cancellable(
+  // The replica becomes visible only when the last byte lands.
+  return execute_plan(
       fabric_, std::move(plan),
       [this, file, host_idx, done = std::move(done)] {
         install_replica(file, host_idx);

@@ -72,9 +72,9 @@ struct IoPlan {
 };
 
 /// An in-flight planned operation (latency event -> metadata flow -> data
-/// sub-flows). Returned by the *_cancellable entry points so the resilience
-/// layer can kill a crashed host's I/O mid-transfer. All state is engine
-/// time; there is no threading.
+/// sub-flows). Returned by every I/O entry point (read, write, transfer) so
+/// the resilience layer can kill a crashed host's I/O mid-transfer. All
+/// state is engine time; there is no threading.
 class IoOp {
  public:
   /// Tear down whatever stage the operation is in: the pending latency
@@ -94,9 +94,8 @@ class IoOp {
   double moved() const { return moved_; }
 
  private:
-  friend std::shared_ptr<IoOp> execute_plan_cancellable(platform::Fabric& fabric,
-                                                        IoPlan plan, Done done,
-                                                        Done on_cancel);
+  friend std::shared_ptr<IoOp> execute_plan(platform::Fabric& fabric, IoPlan plan,
+                                            Done done, Done on_cancel);
   void finish();
 
   platform::Fabric* fabric_ = nullptr;
@@ -118,16 +117,12 @@ class IoOp {
 using IoHandle = std::shared_ptr<IoOp>;
 
 /// Execute a plan on the fabric; `done` fires when every sub-flow finished.
-void execute_plan(platform::Fabric& fabric, IoPlan plan, Done done);
-
-/// As execute_plan, but returns a handle through which the operation can be
-/// cancelled mid-flight. `on_cancel` (may be null) fires once if and only if
-/// the op is cancelled before completion -- services use it to roll back
-/// capacity reservations. The event/flow sequence is identical to
-/// execute_plan (it is the same code path), so uncancelled runs are
-/// bitwise-identical either way.
-IoHandle execute_plan_cancellable(platform::Fabric& fabric, IoPlan plan, Done done,
-                                  Done on_cancel);
+/// The returned handle can cancel the operation mid-flight; `on_cancel`
+/// (may be null) fires once if and only if it is cancelled before
+/// completion -- services use it to roll back capacity reservations.
+/// Dropping the handle is free: the op lives on in its own callbacks.
+IoHandle execute_plan(platform::Fabric& fabric, IoPlan plan, Done done,
+                      Done on_cancel = nullptr);
 
 class StorageService;
 
@@ -208,23 +203,20 @@ class StorageService {
   virtual bool readable_from(const std::string& file_name, std::size_t host_idx) const;
 
   // ----------------------------------------------------------- operations
-  /// Asynchronously read `file` into host `host_idx`.
-  /// Throws NotFoundError if absent, InvariantError if not readable.
-  void read(const FileRef& file, std::size_t host_idx, Done done);
+  // Both return a handle that can cancel the operation mid-flight: the
+  // completion callback then never fires. Callers that never cancel may
+  // drop it.
+
+  /// Asynchronously read `file` into host `host_idx`. A cancelled read just
+  /// stops its flows. Throws NotFoundError if absent, InvariantError if
+  /// not readable.
+  IoHandle read(const FileRef& file, std::size_t host_idx, Done done);
 
   /// Asynchronously write `file` from host `host_idx`; the replica becomes
-  /// visible when `done` fires. Capacity is reserved up front. Overwrites
+  /// visible when `done` fires. Capacity is reserved up front; a cancelled
+  /// write rolls the reservation back and no replica appears. Overwrites
   /// replace the previous replica.
-  void write(const FileRef& file, std::size_t host_idx, Done done);
-
-  /// As read()/write(), returning a handle that can cancel the operation
-  /// mid-flight. A cancelled read just stops its flows; a cancelled write
-  /// additionally rolls back the up-front capacity reservation (the replica
-  /// never appears) and the completion callback never fires. The event/flow
-  /// sequence matches read()/write() exactly, so uncancelled runs are
-  /// bitwise-identical.
-  IoHandle read_cancellable(const FileRef& file, std::size_t host_idx, Done done);
-  IoHandle write_cancellable(const FileRef& file, std::size_t host_idx, Done done);
+  IoHandle write(const FileRef& file, std::size_t host_idx, Done done);
 
   // Plans exposed so StorageSystem can fuse read+write into one transfer.
   IoPlan plan_read(const FileRef& file, std::size_t host_idx) const;
@@ -239,8 +231,8 @@ class StorageService {
   /// replica when the last byte lands (without reserving again).
   void begin_external_write(const FileRef& file);
   void complete_external_write(const FileRef& file, std::size_t host_idx);
-  /// Roll back a reservation made by begin_external_write()/a cancellable
-  /// write whose data movement was cancelled before the replica appeared.
+  /// Roll back a reservation made by begin_external_write()/write() whose
+  /// data movement was cancelled before the replica appeared.
   /// Must mirror the reservation exactly: the same delta that was added
   /// (accounting for an overwritten pre-existing replica) is subtracted.
   void abort_write_reservation(const FileRef& file);

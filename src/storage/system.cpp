@@ -79,14 +79,8 @@ StorageService* StorageSystem::best_source(const std::string& file_name,
   return pfs_with_file;
 }
 
-void StorageSystem::transfer(const FileRef& file, StorageService& from, StorageService& to,
-                             std::size_t via_host, Done done) {
-  (void)transfer_cancellable(file, from, to, via_host, std::move(done));
-}
-
-IoHandle StorageSystem::transfer_cancellable(const FileRef& file, StorageService& from,
-                                             StorageService& to, std::size_t via_host,
-                                             Done done) {
+IoHandle StorageSystem::transfer(const FileRef& file, StorageService& from,
+                                 StorageService& to, std::size_t via_host, Done done) {
   IoPlan read = from.plan_read(file, via_host);
   IoPlan write = to.plan_write(file, via_host);
 
@@ -135,7 +129,7 @@ IoHandle StorageSystem::transfer_cancellable(const FileRef& file, StorageService
   }
 
   to.begin_external_write(file);
-  return execute_plan_cancellable(
+  return execute_plan(
       fabric_, std::move(fused),
       [&to, file, via_host, done = std::move(done)] {
         to.complete_external_write(file, via_host);

@@ -45,16 +45,12 @@ class StorageSystem {
   /// Fused copy: read from `from` and write to `to` as one coupled flow
   /// (the data stream is throttled by the slowest of the two paths, like a
   /// `cp` from PFS into the BB mount). `via_host` is the compute node
-  /// driving the copy. The destination replica appears on completion.
-  void transfer(const FileRef& file, StorageService& from, StorageService& to,
-                std::size_t via_host, Done done);
-
-  /// As transfer(), returning a handle that can cancel the copy mid-flight:
-  /// the destination's capacity reservation is rolled back, no destination
-  /// replica appears, and `done` never fires. The event/flow sequence
-  /// matches transfer() exactly, so uncancelled runs are bitwise-identical.
-  IoHandle transfer_cancellable(const FileRef& file, StorageService& from,
-                                StorageService& to, std::size_t via_host, Done done);
+  /// driving the copy. The destination replica appears on completion. The
+  /// returned handle can cancel the copy mid-flight: the destination's
+  /// capacity reservation is rolled back, no destination replica appears,
+  /// and `done` never fires.
+  IoHandle transfer(const FileRef& file, StorageService& from, StorageService& to,
+                    std::size_t via_host, Done done);
 
   /// Install the same perturbation hook on every service (testbed).
   void set_perturbation(const PerturbFn& fn);

@@ -1,5 +1,5 @@
 // Tests for the causal critical-path layer (src/critpath): unit tests on
-// critpath::analyze over hand-built recorders (segment partition, blame
+// critpath::analyze over hand-built task summaries (segment partition, blame
 // arithmetic, slack, what-if replay, report schema), then integrated tests
 // through exec::Simulation (opt-in invisibility, path length == makespan,
 // fault rework attribution) and the S3 observability matrix: timeline
@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,10 +18,13 @@
 #include "critpath/critpath.hpp"
 #include "exec/engine.hpp"
 #include "json/json.hpp"
+#include "platform/presets.hpp"
 #include "platform/spec.hpp"
 #include "resil/fault.hpp"
 #include "sweep/spec.hpp"
 #include "trace/timeline.hpp"
+#include "workflow/genomes.hpp"
+#include "workflow/swarp.hpp"
 #include "workflow/workflow.hpp"
 
 namespace bbsim::critpath {
@@ -46,6 +51,11 @@ double blame_of(const Report& r, Blame b) {
   return r.blame[static_cast<std::size_t>(b)];
 }
 
+/// A readiness event of `kind` (naming `parent` on a parent edge).
+ReadyEvent ready_at(double time, ReadyCause::Kind kind, std::string parent = "") {
+  return ReadyEvent{time, ReadyCause{kind, std::move(parent)}};
+}
+
 const WhatIf* find_what_if(const Report& r, const std::string& scenario) {
   for (const WhatIf& w : r.what_ifs) {
     if (w.scenario == scenario) return &w;
@@ -65,16 +75,15 @@ TEST(CritpathUnit, BlameNamesAreSchemaConstants) {
 
 TEST(CritpathUnit, SingleTaskPartitionsMakespanExactly) {
   // One task: wait [0,2], BB reads [2,5], compute [5,9], PFS write [9,10].
-  Recorder rec;
-  rec.record_ready("t", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-  rec.record_read_bytes("t", 100.0, /*burst_buffer=*/true);
-  rec.record_write_bytes("t", 50.0, /*burst_buffer=*/false);
-
   AnalyzeInput input;
   input.tasks.push_back(times("t", 0.0, 2.0, 5.0, 9.0, 10.0));
+  TaskTrace& trace = input.tasks.back().trace;
+  trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
+  trace.attempt.read_bb = {100.0, 1};
+  trace.attempt.write_pfs = {50.0, 1};
   input.makespan = 10.0;
 
-  const Report r = analyze(rec, input);
+  const Report r = analyze(input);
   ASSERT_EQ(r.path.size(), 4u);
   EXPECT_EQ(r.path[0].phase, "wait");
   EXPECT_EQ(r.path[0].blame, Blame::kQueueWait);
@@ -114,18 +123,16 @@ TEST(CritpathUnit, SingleTaskPartitionsMakespanExactly) {
 TEST(CritpathUnit, ParentEdgeExtendsPathAndOffPathTaskHasSlack) {
   // a: [0,4] compute; b waits on a, then [4..6] queued, [6,9] compute;
   // c: [0,3] compute off the critical path (slack 6).
-  Recorder rec;
-  rec.record_ready("a", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-  rec.record_ready("b", 4.0, {ReadyCause::Kind::kParent, "a"});
-  rec.record_ready("c", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-
   AnalyzeInput input;
   input.tasks.push_back(times("a", 0.0, 0.0, 0.0, 4.0, 4.0));
+  input.tasks.back().trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
   input.tasks.push_back(times("b", 4.0, 6.0, 6.0, 9.0, 9.0, {"a"}));
+  input.tasks.back().trace.ready.push_back(ready_at(4.0, ReadyCause::Kind::kParent, "a"));
   input.tasks.push_back(times("c", 0.0, 0.0, 0.0, 3.0, 3.0));
+  input.tasks.back().trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
   input.makespan = 9.0;
 
-  const Report r = analyze(rec, input);
+  const Report r = analyze(input);
   ASSERT_EQ(r.path.size(), 3u);
   EXPECT_EQ(r.path[0].task, "a");
   EXPECT_EQ(r.path[0].phase, "compute");
@@ -150,16 +157,15 @@ TEST(CritpathUnit, ParentEdgeExtendsPathAndOffPathTaskHasSlack) {
 TEST(CritpathUnit, AbortedAttemptsChargeRecoveryRework) {
   // Attempt 1 waits [0,1], runs [1,6], dies; requeued at 6, waits [6,7],
   // computes [7,10]. The thrown-away window is recovery rework.
-  Recorder rec;
-  rec.record_ready("t", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-  rec.record_abort("t", 0.0, 1.0, 6.0);
-  rec.record_ready("t", 6.0, {ReadyCause::Kind::kRequeue, ""});
-
   AnalyzeInput input;
   input.tasks.push_back(times("t", 6.0, 7.0, 7.0, 10.0, 10.0));
+  TaskTrace& trace = input.tasks.back().trace;
+  trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
+  trace.aborted.push_back(AbortedAttempt{0.0, 1.0, 6.0});
+  trace.ready.push_back(ready_at(6.0, ReadyCause::Kind::kRequeue));
   input.makespan = 10.0;
 
-  const Report r = analyze(rec, input);
+  const Report r = analyze(input);
   EXPECT_NEAR(r.path_length(), 10.0, 1e-12);
   EXPECT_NEAR(r.blame_total(), 10.0, 1e-12);
   EXPECT_DOUBLE_EQ(blame_of(r, Blame::kRecoveryRework), 5.0);
@@ -178,16 +184,40 @@ TEST(CritpathUnit, AbortedAttemptsChargeRecoveryRework) {
   EXPECT_NEAR(no_faults->makespan, 5.0, 1e-12);
 }
 
-TEST(CritpathUnit, ImplicitStageInHeadsThePath) {
-  Recorder rec;
-  rec.record_implicit_stage(0.0, 3.0);
-  rec.record_ready("t", 3.0, {ReadyCause::Kind::kWorkflowStart, ""});
-
+TEST(CritpathUnit, ReplayKeepsDoneChildOfRolledBackParentAtItsReadiness) {
+  // p's first attempt ran [0,4] and readied c, which ran [4,5]; a crash at
+  // 6 lost p's output, so p was rolled back and re-ran [6,10]. c had
+  // consumed the first attempt: the replay must not chain it after p's
+  // re-run (5 s past the makespan at unit scale).
   AnalyzeInput input;
+  input.tasks.push_back(times("p", 6.0, 6.0, 6.0, 10.0, 10.0));
+  TaskTrace& p = input.tasks.back().trace;
+  p.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
+  p.aborted.push_back(AbortedAttempt{0.0, 0.0, 6.0});
+  p.ready.push_back(ready_at(6.0, ReadyCause::Kind::kRollback));
+  input.tasks.push_back(times("c", 4.0, 4.0, 4.0, 5.0, 5.0, {"p"}));
+  input.tasks.back().trace.ready.push_back(ready_at(4.0, ReadyCause::Kind::kParent, "p"));
+  input.makespan = 10.0;
+
+  const Report r = analyze(input);
+  EXPECT_NEAR(r.path_length(), 10.0, 1e-12);
+  const WhatIf* baseline = find_what_if(r, "baseline");
+  ASSERT_NE(baseline, nullptr);
+  EXPECT_NEAR(baseline->makespan, 10.0, 1e-12);
+  for (const WhatIf& w : r.what_ifs) {
+    EXPECT_LE(w.makespan, r.makespan + 1e-12) << w.scenario;
+  }
+}
+
+TEST(CritpathUnit, ImplicitStageInHeadsThePath) {
+  // Inputs were staged over [0,3] before the entry task became ready.
+  AnalyzeInput input;
+  input.implicit_stage_in = true;
   input.tasks.push_back(times("t", 3.0, 3.0, 3.0, 8.0, 8.0));
+  input.tasks.back().trace.ready.push_back(ready_at(3.0, ReadyCause::Kind::kWorkflowStart));
   input.makespan = 8.0;
 
-  const Report r = analyze(rec, input);
+  const Report r = analyze(input);
   ASSERT_GE(r.path.size(), 2u);
   EXPECT_EQ(r.path.front().task, "implicit_stage_in");
   EXPECT_EQ(r.path.front().blame, Blame::kPfsTransfer);
@@ -199,15 +229,13 @@ TEST(CritpathUnit, ImplicitStageInHeadsThePath) {
 }
 
 TEST(CritpathUnit, StageOutDrainIsAPfsTailSegment) {
-  Recorder rec;
-  rec.record_ready("t", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-
   AnalyzeInput input;
   input.tasks.push_back(times("t", 0.0, 0.0, 0.0, 8.0, 8.0));
+  input.tasks.back().trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
   input.makespan = 10.0;
   input.stage_out_duration = 2.0;
 
-  const Report r = analyze(rec, input);
+  const Report r = analyze(input);
   ASSERT_FALSE(r.path.empty());
   EXPECT_EQ(r.path.back().task, "stage_out");
   EXPECT_EQ(r.path.back().blame, Blame::kPfsTransfer);
@@ -217,7 +245,7 @@ TEST(CritpathUnit, StageOutDrainIsAPfsTailSegment) {
 }
 
 TEST(CritpathUnit, EmptyInputYieldsBaselineOnlyReport) {
-  const Report r = analyze(Recorder(), AnalyzeInput());
+  const Report r = analyze(AnalyzeInput());
   EXPECT_TRUE(r.path.empty());
   EXPECT_DOUBLE_EQ(r.makespan, 0.0);
   EXPECT_DOUBLE_EQ(r.blame_total(), 0.0);
@@ -240,14 +268,13 @@ TEST(CritpathUnit, SetBlameFromPathRederivesTotals) {
 }
 
 TEST(CritpathUnit, ReportJsonIsSchemaTaggedCompleteAndByteStable) {
-  Recorder rec;
-  rec.record_ready("t", 0.0, {ReadyCause::Kind::kWorkflowStart, ""});
-  rec.record_read_bytes("t", 100.0, true);
   AnalyzeInput input;
   input.tasks.push_back(times("t", 0.0, 2.0, 5.0, 9.0, 10.0));
+  input.tasks.back().trace.ready.push_back(ready_at(0.0, ReadyCause::Kind::kWorkflowStart));
+  input.tasks.back().trace.attempt.read_bb = {100.0, 1};
   input.makespan = 10.0;
 
-  const json::Value doc = analyze(rec, input).to_json();
+  const json::Value doc = analyze(input).to_json();
   EXPECT_EQ(doc.get_string("schema", ""), "bbsim.critpath.v1");
   EXPECT_DOUBLE_EQ(doc.get_number("makespan", -1.0), 10.0);
   EXPECT_DOUBLE_EQ(doc.get_number("path_length", -1.0), 10.0);
@@ -263,7 +290,7 @@ TEST(CritpathUnit, ReportJsonIsSchemaTaggedCompleteAndByteStable) {
   ASSERT_TRUE(doc.at("what_if").is_array());
   EXPECT_FALSE(doc.at("what_if").as_array().empty());
   // Pure function of its inputs: repeated analysis is byte-identical.
-  EXPECT_EQ(doc.dump(2), analyze(rec, input).to_json().dump(2));
+  EXPECT_EQ(doc.dump(2), analyze(input).to_json().dump(2));
 }
 
 // --------------------------------------------- integrated: exec::Simulation
@@ -411,6 +438,107 @@ TEST(CritpathExec, CrashedRunChargesRecoveryRework) {
     }
   }
   EXPECT_TRUE(found) << "no seed in [1,200] produced a killed attempt";
+}
+
+// ------------------------------------------ end-to-end pinned attribution
+
+// Exact attribution of seeded runs, pinned at 1e-9 relative: the identity
+// checks above would also pass if a read or a checkpoint stall were charged
+// to the wrong tier, or an abort or restart latency were dropped.
+
+struct PinnedReport {
+  std::array<double, kBlameCount> blame;  ///< in kAllBlames order
+  /// baseline, infinite_bb_bandwidth, infinite_pfs_bandwidth,
+  /// no_queue_wait, no_faults
+  std::array<double, 5> what_if;
+};
+
+void expect_report(const Result& r, const PinnedReport& want) {
+  ASSERT_TRUE(r.critpath.is_object());
+  const auto close = [](double got, double expected) {
+    return std::abs(got - expected) <= 1e-9 * std::max(1.0, std::abs(expected));
+  };
+  for (const Blame b : kAllBlames) {
+    const double got = r.critpath.at("blame").at(to_string(b)).as_number();
+    EXPECT_PRED2(close, got, want.blame[static_cast<std::size_t>(b)]) << to_string(b);
+  }
+  const json::Array& what_ifs = r.critpath.at("what_if").as_array();
+  ASSERT_EQ(what_ifs.size(), want.what_if.size());
+  for (std::size_t i = 0; i < what_ifs.size(); ++i) {
+    EXPECT_PRED2(close, what_ifs[i].get_number("makespan", -1.0), want.what_if[i])
+        << what_ifs[i].get_string("scenario", "?");
+  }
+}
+
+/// Node crashes, BB degradation and PFS brownouts plus `checkpoint`. On
+/// one Summit node the crashes kill attempts and roll back producers whose
+/// node-local outputs died with the node.
+ExecutionConfig faulty_config(const char* checkpoint) {
+  ExecutionConfig cfg;
+  cfg.critpath = true;
+  cfg.faults = resil::FaultSpec::parse(
+      "node_mtbf=40,node_repair=5,seed=9,bb_mtbf=30,bb_degrade=0.25,bb_duration=5,"
+      "pfs_mtbf=30,pfs_brownout=0.6,pfs_duration=7,horizon=400");
+  cfg.checkpoint = resil::CheckpointSpec::parse(checkpoint);
+  return cfg;
+}
+
+wf::Workflow two_pipeline_swarp() {
+  wf::SwarpConfig swarp;
+  swarp.pipelines = 2;
+  return wf::make_swarp(swarp);
+}
+
+platform::PlatformSpec one_summit_node() {
+  platform::PresetOptions popt;
+  popt.compute_nodes = 1;
+  return platform::summit_platform(popt);
+}
+
+TEST(CritpathExec, PinnedReportWithBbCheckpointsAbortsAndRollbacks) {
+  const Result r = Simulation(one_summit_node(), two_pipeline_swarp(),
+                              faulty_config("interval=15,fraction=0.1,restart=2"))
+                       .run();
+  expect_report(r, {{26.962255700325727, 0.49114486836350579, 25.199463999999967, 0.0,
+                     147.24527753271866, 175.89935451403971},
+                    {375.79749661544759, 375.30635174708408, 350.59803261544761,
+                     245.22218295176827, 199.89814210140787}});
+}
+
+TEST(CritpathExec, PinnedReportWithPfsCheckpoints) {
+  // Without a burst buffer every checkpoint image goes to the PFS; a
+  // restarted attempt resumes from its last drained image.
+  platform::PlatformSpec p = one_summit_node();
+  p.storage.erase(p.storage.begin() + 1);
+  p.validate_and_normalize();
+  const Result r = Simulation(p, two_pipeline_swarp(),
+                              faulty_config("interval=3,fraction=0.1,restart=2"))
+                       .run();
+  expect_report(r, {{23.962255700325727, 0.0, 26.077293663999853, 0.0, 124.8575537413453,
+                     68.69566443448926},
+                    {243.59276754016014, 243.59276754016014, 217.51547387616029,
+                     118.73521379881484, 174.89710310567088}});
+}
+
+TEST(CritpathExec, PinnedReportWithImplicitStageInAndStageOut) {
+  // No stage-in task: the staging window heads the path; final products
+  // land in the BB and drain to the PFS after the last task.
+  wf::GenomesConfig genomes;
+  genomes.chromosomes = 1;
+  ExecutionConfig cfg;
+  cfg.critpath = true;
+  cfg.stage_out = true;
+  cfg.placement = std::make_shared<exec::FractionPolicy>(1.0, exec::Tier::BurstBuffer,
+                                                         exec::Tier::BurstBuffer);
+  const Result r =
+      Simulation(platform::cori_platform(), wf::make_1000genomes(genomes), cfg).run();
+  const json::Array& path = r.critpath.at("path").as_array();
+  ASSERT_FALSE(path.empty());
+  EXPECT_EQ(path.front().get_string("task", ""), "implicit_stage_in");
+  EXPECT_EQ(path.back().get_string("task", ""), "stage_out");
+  expect_report(r, {{460.0, 8.0642115384608566, 25.175249999999618, 0.0, 0.0, 0.0},
+                    {493.23946153846049, 485.17524999999961, 468.06421153846088,
+                     493.23946153846049, 493.23946153846049}});
 }
 
 // ---------------------------------------- S3: timeline x resil x critpath

@@ -289,7 +289,7 @@ TEST(CancellableIo, CancelledWriteReleasesReservationAndReplicaNeverAppears) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = bb->write_cancellable({"out", 6000.0}, 0, [&] { fired = true; });
+  const IoHandle op = bb->write({"out", 6000.0}, 0, [&] { fired = true; });
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 6000.0);  // reserved up front
   fabric.engine().schedule_at(1.0, [&] { op->cancel(); });
   fabric.engine().run();
@@ -304,7 +304,7 @@ TEST(CancellableIo, CancelAfterCompletionIsNoOp) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = bb->write_cancellable({"out", 800.0}, 0, [&] { fired = true; });
+  const IoHandle op = bb->write({"out", 800.0}, 0, [&] { fired = true; });
   fabric.engine().run();
   EXPECT_TRUE(fired);
   EXPECT_TRUE(op->finished());
@@ -322,7 +322,7 @@ TEST(CancellableIo, CancelDuringLatencyWindowMovesNoBytes) {
   StorageSystem sys(fabric);
   sys.pfs().register_file({"f", 1000.0}, 0);
   bool fired = false;
-  const IoHandle op = sys.pfs().read_cancellable({"f", 1000.0}, 0, [&] { fired = true; });
+  const IoHandle op = sys.pfs().read({"f", 1000.0}, 0, [&] { fired = true; });
   fabric.engine().schedule_at(1.0, [&] { EXPECT_DOUBLE_EQ(op->cancel(), 0.0); });
   fabric.engine().run();
   EXPECT_FALSE(fired);
@@ -334,7 +334,7 @@ TEST(CancellableIo, CancelledReadSettlesPartialBytes) {
   StorageSystem sys(fabric);
   sys.pfs().register_file({"f", 1000.0}, 0);  // reads at 100 B/s
   bool fired = false;
-  const IoHandle op = sys.pfs().read_cancellable({"f", 1000.0}, 0, [&] { fired = true; });
+  const IoHandle op = sys.pfs().read({"f", 1000.0}, 0, [&] { fired = true; });
   double moved = -1.0;
   fabric.engine().schedule_at(4.0, [&] { moved = op->cancel(); });
   fabric.engine().run();
@@ -350,7 +350,7 @@ TEST(CancellableIo, CancelledTransferRollsBackDestination) {
   sys.pfs().register_file({"f", 1000.0}, 0);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = sys.transfer_cancellable({"f", 1000.0}, sys.pfs(), *bb, 0,
+  const IoHandle op = sys.transfer({"f", 1000.0}, sys.pfs(), *bb, 0,
                                                [&] { fired = true; });
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 1000.0);  // destination reservation
   fabric.engine().schedule_at(2.0, [&] { op->cancel(); });
@@ -366,7 +366,7 @@ TEST(CancellableIo, CancelledOverwriteKeepsOldReplica) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   bb->register_file({"out", 300.0}, 0);
-  const IoHandle op = bb->write_cancellable({"out", 900.0}, 0, nullptr);
+  const IoHandle op = bb->write({"out", 900.0}, 0, nullptr);
   // Overwrite reservation: delta = 900 - 300.
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 900.0);
   fabric.engine().schedule_at(0.25, [&] { op->cancel(); });
@@ -380,7 +380,7 @@ TEST(CancellableIo, DoubleCancelIsIdempotent) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  const IoHandle op = bb->write_cancellable({"out", 6000.0}, 0, nullptr);
+  const IoHandle op = bb->write({"out", 6000.0}, 0, nullptr);
   fabric.engine().schedule_at(1.0, [&] {
     const double first = op->cancel();
     EXPECT_DOUBLE_EQ(op->cancel(), first);  // second cancel changes nothing

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "exec/engine.hpp"
 #include "json/json.hpp"
 #include "platform/presets.hpp"
+#include "resil/fault.hpp"
 #include "stats/metrics.hpp"
 #include "trace/profiler.hpp"
 #include "trace/timeline.hpp"
@@ -442,12 +444,15 @@ TEST(SimulationMetrics, BandwidthSeriesLandsInStorageCounters) {
 
 TEST(TraceEventKind, AllKindsHaveUniqueWireNames) {
   std::set<std::string> names;
+  std::set<std::string> internal;
   for (const exec::TraceEventKind kind : exec::kAllTraceEventKinds) {
     const std::string name = exec::to_string(kind);
     EXPECT_NE(name, "?");
     EXPECT_TRUE(names.insert(name).second) << "duplicate wire name " << name;
+    if (!exec::exported(kind)) internal.insert(name);
   }
   EXPECT_EQ(names.size(), std::size(exec::kAllTraceEventKinds));
+  for (const std::string& name : internal) names.erase(name);
   // The documented closed set, spelled out: a new kind must be added here
   // (and to docs/observability.md) deliberately.
   EXPECT_EQ(names,
@@ -459,6 +464,90 @@ TEST(TraceEventKind, AllKindsHaveUniqueWireNames) {
                 "node_crash", "node_repair", "bb_degraded", "pfs_brownout",
                 "fault_cleared", "task_killed", "task_restart", "rollback",
                 "checkpoint", "checkpoint_drained"}));
+  // Kinds that only feed the critical-path fold never reach the trace.
+  EXPECT_EQ(internal, (std::set<std::string>{"read", "checkpoint_done"}));
+}
+
+/// kind -> "detail" of its first occurrence in the exported trace, plus
+/// every distinct fault_cleared detail.
+void first_details(const exec::Result& r, std::map<std::string, std::string>& first,
+                   std::set<std::string>& cleared) {
+  const json::Value doc = r.to_json();
+  for (const json::Value& e : doc.at("trace").as_array()) {
+    const std::string kind = e.get_string("kind", "");
+    first.emplace(kind, e.get_string("detail", ""));
+    if (kind == "fault_cleared") cleared.insert(e.get_string("detail", ""));
+  }
+}
+
+// Only Result::to_json reads an event's payload as text, so the wire text
+// of every exported kind is pinned here, literally.
+TEST(TraceEventKind, ExportedDetailTextIsPinned) {
+  std::map<std::string, std::string> first;
+  std::set<std::string> cleared;
+  {
+    // Staging into a 1000 B BB with LRU eviction: "a" is staged, "b" evicts
+    // it, "big" can never fit; the final product drains at stage-out.
+    platform::PlatformSpec p = tiny();
+    p.storage[1].disk.capacity = 1000.0;
+    p.validate_and_normalize();
+    wf::Workflow w;
+    w.add_file({"a", 600.0});
+    w.add_file({"b", 500.0});
+    w.add_file({"big", 5000.0});
+    w.add_file({"mid", 200.0});
+    w.add_file({"out", 100.0});
+    w.add_task({"stage", "stage_in", 0.0, 0.0, 1, {}, {}});
+    w.add_task({"t1", "compute", 4e9, 0.0, 4, {"a", "b", "big"}, {"mid"}});
+    w.add_task({"t2", "compute", 4e9, 0.0, 2, {"mid"}, {"out"}});
+    w.add_control_dep("stage", "t1");
+    exec::ExecutionConfig cfg;
+    cfg.placement = std::make_shared<exec::FractionPolicy>(1.0, exec::Tier::BurstBuffer,
+                                                           exec::Tier::BurstBuffer);
+    cfg.bb_eviction = true;
+    cfg.stage_out = true;
+    first_details(exec::Simulation(p, w, cfg).run(), first, cleared);
+  }
+  {
+    // Node crashes on node-local BBs (kills, restarts and a rollback), BB
+    // and PFS degradation windows, interval checkpoints with drains.
+    platform::PresetOptions popt;
+    popt.compute_nodes = 1;
+    wf::SwarpConfig swarp;
+    swarp.pipelines = 2;
+    exec::ExecutionConfig cfg;
+    cfg.faults = resil::FaultSpec::parse(
+        "node_mtbf=40,node_repair=5,seed=9,bb_mtbf=30,bb_degrade=0.25,bb_duration=5,"
+        "pfs_mtbf=30,pfs_brownout=0.6,pfs_duration=7,horizon=400");
+    cfg.checkpoint = resil::CheckpointSpec::parse("interval=15,fraction=0.1,restart=2");
+    first_details(
+        exec::Simulation(platform::summit_platform(popt), wf::make_swarp(swarp), cfg).run(),
+        first, cleared);
+  }
+  const std::map<std::string, std::string> expected = {
+      {"task_ready", ""},
+      {"task_start", "host=0 cores=1"},
+      {"reads_done", ""},
+      {"compute_done", ""},
+      {"write", "mid -> bb"},
+      {"task_end", ""},
+      {"stage_file", "a -> bb (host 0)"},
+      {"stage_skipped", "big"},
+      {"stage_out", "out"},
+      {"evict", "a"},
+      {"node_crash", "host=0"},
+      {"node_repair", "host=0"},
+      {"bb_degraded", "scale=0.250 duration=5.0"},
+      {"pfs_brownout", "scale=0.600 duration=7.0"},
+      {"fault_cleared", "bb"},
+      {"task_killed", "host=0 attempt=1"},
+      {"task_restart", "attempt=2"},
+      {"rollback", "attempt=2"},
+      {"checkpoint", "combine_000.ckpt -> bb"},
+      {"checkpoint_drained", ""},
+  };
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(cleared, (std::set<std::string>{"bb", "pfs"}));
 }
 
 }  // namespace

@@ -315,6 +315,32 @@ TEST(SimulationMetrics, CollectsEngineSolverAndStorageMetrics) {
   EXPECT_TRUE(saw_util);
 }
 
+TEST(SimulationMetrics, ImplicitStagingRegistersInputsOnce) {
+  // A Task-mode run without a stage-in task stages its inputs up front.
+  // The inputs reach the PFS once, so its occupancy series repeats no
+  // sample when the staging ends.
+  wf::Workflow w;
+  w.add_file({"in_a", 4e9});
+  w.add_file({"in_b", 4e9});
+  w.add_file({"out", 1e9});
+  w.add_task({"t", "compute", 1e9, 0.0, 1, {"in_a", "in_b"}, {"out"}});
+  exec::ExecutionConfig cfg;
+  cfg.collect_metrics = true;
+  exec::Simulation sim(testbed::paper_platform(testbed::System::CoriPrivate), w, cfg);
+  const exec::Result r = sim.run();
+  ASSERT_GT(r.stage_in_duration, 0.0);
+  const stats::TimeSeries* pfs = sim.metrics()->find_series(
+      "storage." + sim.storage().pfs().name() + ".occupancy_bytes");
+  ASSERT_NE(pfs, nullptr);
+  const std::vector<stats::Sample>& samples = pfs->samples();
+  ASSERT_GE(samples.size(), 3u);
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_FALSE(samples[i].time == samples[i - 1].time &&
+                 samples[i].value == samples[i - 1].value)
+        << "repeated sample at t=" << samples[i].time;
+  }
+}
+
 TEST(SimulationMetrics, HistogramsTrackSolverRoundsAndTransferDurations) {
   stats::MetricsRegistry* reg = nullptr;
   run_swarp_with_metrics(&reg);

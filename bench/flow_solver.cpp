@@ -96,10 +96,9 @@ std::vector<TransferPlan> plan_transfers(const wf::Workflow& dag,
   std::vector<TransferPlan> plans;
   plans.reserve(dag.task_count() * 3);
   std::size_t k = 0;
-  for (const std::string& name : dag.task_names()) {
-    const wf::Task& task = dag.task(name);
+  for (wf::TaskId id = 0; id < dag.task_count(); ++id) {
     const std::size_t h = k % p.hosts;
-    for (const std::string& f : task.inputs) {
+    for (const wf::FileId f : dag.inputs(id)) {
       TransferPlan t{};
       t.channel = p.bb_read[h];
       t.crosses_pfs = rng.chance(0.002);
@@ -108,7 +107,7 @@ std::vector<TransferPlan> plan_transfers(const wf::Workflow& dag,
       t.weight = (k % 3 == 0) ? 2.0 : 1.0;
       plans.push_back(t);
     }
-    for (const std::string& f : task.outputs) {
+    for (const wf::FileId f : dag.outputs(id)) {
       TransferPlan t{};
       t.channel = p.bb_write[h];
       t.crosses_pfs = rng.chance(0.002);

@@ -1,7 +1,6 @@
 #include "exec/pinning.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 namespace bbsim::exec {
@@ -41,17 +40,14 @@ class UnionFind {
 std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
                                             const platform::PlatformSpec& platform,
                                             const PinningConfig& config) {
-  const std::vector<std::string>& names = workflow.task_names();
-  const std::size_t n = names.size();
+  const std::size_t n = workflow.task_count();
   const std::size_t hosts = platform.hosts.size();
 
-  std::map<std::string, std::size_t> task_index;
   std::vector<double> task_weight(n, 0.0);
   double total_weight = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    task_index[names[i]] = i;
-    task_weight[i] = workflow.task(names[i]).flops;
-    total_weight += task_weight[i];
+  for (wf::TaskId t = 0; t < n; ++t) {
+    task_weight[t] = workflow.task(t).flops;
+    total_weight += task_weight[t];
   }
 
   // Capacity-aware clustering: glue producer/consumer chains together, but
@@ -60,15 +56,15 @@ std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
   // the whole workflow onto one node. Files are considered from the
   // strongest locality signal (fewest readers) upward.
   struct GlueFile {
-    const std::string* name;
+    wf::FileId file;
     std::size_t consumers;
   };
   std::vector<GlueFile> glue;
-  for (const std::string& fname : workflow.file_names()) {
-    const std::size_t consumers = workflow.consumers(fname).size();
+  for (wf::FileId f = 0; f < workflow.file_count(); ++f) {
+    const std::size_t consumers = workflow.consumers(f).size();
     if (consumers == 0) continue;
     if (consumers > config.broadcast_threshold) continue;  // broadcast file
-    glue.push_back({&fname, consumers});
+    glue.push_back({f, consumers});
   }
   std::stable_sort(glue.begin(), glue.end(),
                    [](const GlueFile& a, const GlueFile& b) {
@@ -81,50 +77,53 @@ std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
       std::max(1.3 * total_weight / static_cast<double>(hosts), max_task);
 
   UnionFind uf(task_weight);
+  std::vector<std::size_t> touching;
+  std::vector<std::size_t> roots;
   for (const GlueFile& g : glue) {
-    std::vector<std::size_t> touching;
-    for (const std::string& c : workflow.consumers(*g.name)) {
-      touching.push_back(task_index.at(c));
-    }
-    if (const auto prod = workflow.producer(*g.name)) {
-      touching.push_back(task_index.at(*prod));
-    }
+    const auto consumers = workflow.consumers(g.file);
+    touching.assign(consumers.begin(), consumers.end());
+    if (const auto prod = workflow.producer(g.file)) touching.push_back(*prod);
     if (touching.size() <= 1) continue;
-    // Weight of the union if we glued everything this file touches.
-    std::map<std::size_t, double> roots;
-    for (const std::size_t t : touching) roots[uf.find(t)] = uf.weight(t);
+    // Weight of the union if we glued everything this file touches, summed
+    // over the distinct components in ascending root order.
+    roots.clear();
+    for (const std::size_t t : touching) roots.push_back(uf.find(t));
+    std::sort(roots.begin(), roots.end());
+    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
     double combined = 0.0;
-    for (const auto& [_, w] : roots) combined += w;
+    for (const std::size_t r : roots) combined += uf.weight(r);
     if (roots.size() > 1 && combined > limit && hosts > 1) continue;  // too heavy
     for (std::size_t k = 1; k < touching.size(); ++k) {
       uf.unite(touching[0], touching[k]);
     }
   }
 
-  // Collect components and deal them largest-first onto the least-loaded
-  // host (LPT balancing).
-  std::map<std::size_t, std::vector<std::size_t>> components;
-  std::map<std::size_t, double> weight;
+  // Collect components (indexed by root, in ascending root order) and deal
+  // them largest-first onto the least-loaded host (LPT balancing).
+  std::vector<std::size_t> root_of(n);
+  std::vector<double> weight(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = uf.find(i);
-    components[root].push_back(i);
-    weight[root] += task_weight[i];
+    root_of[i] = uf.find(i);
+    weight[root_of[i]] += task_weight[i];
   }
-  std::vector<std::size_t> roots;
-  roots.reserve(components.size());
-  for (const auto& [root, _] : components) roots.push_back(root);
+  roots.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (root_of[i] == i) roots.push_back(i);
+  }
   std::stable_sort(roots.begin(), roots.end(), [&](std::size_t a, std::size_t b) {
     return weight[a] > weight[b];
   });
 
   std::vector<double> host_load(hosts, 0.0);
-  std::vector<std::size_t> home(n, 0);
+  std::vector<std::size_t> host_of_root(n, 0);
   for (const std::size_t root : roots) {
     const std::size_t target = static_cast<std::size_t>(
         std::min_element(host_load.begin(), host_load.end()) - host_load.begin());
-    for (const std::size_t i : components[root]) home[i] = target;
+    host_of_root[root] = target;
     host_load[target] += weight[root];
   }
+  std::vector<std::size_t> home(n);
+  for (std::size_t i = 0; i < n; ++i) home[i] = host_of_root[root_of[i]];
   return home;
 }
 

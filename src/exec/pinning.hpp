@@ -27,7 +27,7 @@ struct PinningConfig {
   std::size_t broadcast_threshold = 16;
 };
 
-/// home[i] = host index of workflow.task_names()[i].
+/// home[t] = host index of task t (a wf::TaskId).
 std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
                                             const platform::PlatformSpec& platform,
                                             const PinningConfig& config = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -15,9 +14,9 @@ const char* to_string(Tier tier) {
 }
 
 namespace {
-/// True when `file_name` is a final product (no consumer).
-bool is_final_output(const wf::Workflow& w, const std::string& file_name) {
-  return w.consumers(file_name).empty();
+/// True when `file` is a final product (no consumer).
+bool is_final_output(const wf::Workflow& w, wf::FileId file) {
+  return w.consumers(file).empty();
 }
 }  // namespace
 
@@ -38,15 +37,14 @@ std::string FractionPolicy::name() const {
                       to_string(intermediate_tier_), to_string(output_tier_));
 }
 
-std::vector<std::string> FractionPolicy::files_to_stage(const wf::Workflow& w) const {
+std::vector<wf::FileId> FractionPolicy::files_to_stage(const wf::Workflow& w) const {
   // Spread the selection evenly over the input list (Bresenham-style) so a
   // 50% staging fraction stages every other file rather than the first
   // half -- "a fraction of the files" should not mean "one half of the
   // workflow's pipelines".
-  const std::vector<std::string> inputs = w.input_files();
-  std::vector<std::string> out;
+  std::vector<wf::FileId> out;
   double accumulator = 0.0;
-  for (const std::string& f : inputs) {
+  for (const wf::FileId f : w.input_files()) {
     accumulator += fraction_;
     if (accumulator >= 1.0 - 1e-12) {
       accumulator -= 1.0;
@@ -56,9 +54,9 @@ std::vector<std::string> FractionPolicy::files_to_stage(const wf::Workflow& w) c
   return out;
 }
 
-Tier FractionPolicy::place_output(const wf::Workflow& w, const std::string&,
-                                  const std::string& file_name) const {
-  return is_final_output(w, file_name) ? output_tier_ : intermediate_tier_;
+Tier FractionPolicy::place_output(const wf::Workflow& w, wf::TaskId,
+                                  wf::FileId file) const {
+  return is_final_output(w, file) ? output_tier_ : intermediate_tier_;
 }
 
 std::shared_ptr<PlacementPolicy> all_pfs_policy() {
@@ -84,18 +82,18 @@ std::string SizeThresholdPolicy::name() const {
   return util::format("size_threshold(%s%.0fMB)", invert_ ? ">" : "<=", threshold_ / 1e6);
 }
 
-std::vector<std::string> SizeThresholdPolicy::files_to_stage(const wf::Workflow& w) const {
-  std::vector<std::string> out;
-  for (const std::string& f : w.input_files()) {
+std::vector<wf::FileId> SizeThresholdPolicy::files_to_stage(const wf::Workflow& w) const {
+  std::vector<wf::FileId> out;
+  for (const wf::FileId f : w.input_files()) {
     if (prefers_bb(w.file(f).size)) out.push_back(f);
   }
   return out;
 }
 
-Tier SizeThresholdPolicy::place_output(const wf::Workflow& w, const std::string&,
-                                       const std::string& file_name) const {
-  if (is_final_output(w, file_name)) return Tier::PFS;
-  return prefers_bb(w.file(file_name).size) ? Tier::BurstBuffer : Tier::PFS;
+Tier SizeThresholdPolicy::place_output(const wf::Workflow& w, wf::TaskId,
+                                       wf::FileId file) const {
+  if (is_final_output(w, file)) return Tier::PFS;
+  return prefers_bb(w.file(file).size) ? Tier::BurstBuffer : Tier::PFS;
 }
 
 // ------------------------------------------------------------ LocalityPolicy
@@ -107,17 +105,17 @@ std::string LocalityPolicy::name() const {
   return util::format("locality(max_consumers=%zu)", max_consumers_);
 }
 
-std::vector<std::string> LocalityPolicy::files_to_stage(const wf::Workflow& w) const {
-  std::vector<std::string> out;
-  for (const std::string& f : w.input_files()) {
+std::vector<wf::FileId> LocalityPolicy::files_to_stage(const wf::Workflow& w) const {
+  std::vector<wf::FileId> out;
+  for (const wf::FileId f : w.input_files()) {
     if (w.consumers(f).size() <= max_consumers_) out.push_back(f);
   }
   return out;
 }
 
-Tier LocalityPolicy::place_output(const wf::Workflow& w, const std::string&,
-                                  const std::string& file_name) const {
-  const std::size_t consumers = w.consumers(file_name).size();
+Tier LocalityPolicy::place_output(const wf::Workflow& w, wf::TaskId,
+                                  wf::FileId file) const {
+  const std::size_t consumers = w.consumers(file).size();
   if (consumers == 0) return Tier::PFS;  // final output
   return consumers <= max_consumers_ ? Tier::BurstBuffer : Tier::PFS;
 }
@@ -132,14 +130,14 @@ std::string GreedyBytesPolicy::name() const {
   return util::format("greedy_bytes(%.1fGB)", budget_ / 1e9);
 }
 
-std::vector<std::string> GreedyBytesPolicy::files_to_stage(const wf::Workflow& w) const {
+std::vector<wf::FileId> GreedyBytesPolicy::files_to_stage(const wf::Workflow& w) const {
   struct Candidate {
-    std::string file;
+    wf::FileId file;
     double benefit;  // bytes the BB would serve: size * consumer count
     double size;
   };
   std::vector<Candidate> candidates;
-  for (const std::string& f : w.input_files()) {
+  for (const wf::FileId f : w.input_files()) {
     const double size = w.file(f).size;
     candidates.push_back({f, size * static_cast<double>(w.consumers(f).size()), size});
   }
@@ -147,7 +145,7 @@ std::vector<std::string> GreedyBytesPolicy::files_to_stage(const wf::Workflow& w
                    [](const Candidate& a, const Candidate& b) {
                      return a.benefit > b.benefit;
                    });
-  std::vector<std::string> out;
+  std::vector<wf::FileId> out;
   double used = 0;
   for (const Candidate& c : candidates) {
     if (used + c.size > budget_) continue;
@@ -157,12 +155,12 @@ std::vector<std::string> GreedyBytesPolicy::files_to_stage(const wf::Workflow& w
   return out;
 }
 
-Tier GreedyBytesPolicy::place_output(const wf::Workflow& w, const std::string&,
-                                     const std::string& file_name) const {
-  if (is_final_output(w, file_name)) return Tier::PFS;
+Tier GreedyBytesPolicy::place_output(const wf::Workflow& w, wf::TaskId,
+                                     wf::FileId file) const {
+  if (is_final_output(w, file)) return Tier::PFS;
   // Intermediates ride the BB when small relative to the budget; the
   // engine's capacity accounting is the hard backstop.
-  return w.file(file_name).size <= budget_ * 0.05 ? Tier::BurstBuffer : Tier::PFS;
+  return w.file(file).size <= budget_ * 0.05 ? Tier::BurstBuffer : Tier::PFS;
 }
 
 std::shared_ptr<PlacementPolicy> make_policy(const std::string& spec) {

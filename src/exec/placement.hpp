@@ -21,19 +21,19 @@ enum class Tier { PFS, BurstBuffer };
 const char* to_string(Tier tier);
 
 /// Strategy interface: selects the input files to stage into the BB and the
-/// tier of every produced file.
+/// tier of every produced file. Files and tasks are the workflow's ids.
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
   virtual std::string name() const = 0;
 
   /// Workflow input files to stage into the BB, in stage-in order.
-  virtual std::vector<std::string> files_to_stage(const wf::Workflow& w) const = 0;
+  virtual std::vector<wf::FileId> files_to_stage(const wf::Workflow& w) const = 0;
 
-  /// Tier for an output of `task_name`. The engine may demote BB choices to
+  /// Tier for output `file` of `task`. The engine may demote BB choices to
   /// the PFS when the file would be unreachable (node-local devices).
-  virtual Tier place_output(const wf::Workflow& w, const std::string& task_name,
-                            const std::string& file_name) const = 0;
+  virtual Tier place_output(const wf::Workflow& w, wf::TaskId task,
+                            wf::FileId file) const = 0;
 };
 
 /// The paper's experimental knob: stage the first ceil(fraction * N) input
@@ -44,9 +44,9 @@ class FractionPolicy final : public PlacementPolicy {
   FractionPolicy(double input_fraction, Tier intermediate_tier,
                  Tier output_tier = Tier::PFS);
   std::string name() const override;
-  std::vector<std::string> files_to_stage(const wf::Workflow& w) const override;
-  Tier place_output(const wf::Workflow& w, const std::string& task_name,
-                    const std::string& file_name) const override;
+  std::vector<wf::FileId> files_to_stage(const wf::Workflow& w) const override;
+  Tier place_output(const wf::Workflow& w, wf::TaskId task,
+                    wf::FileId file) const override;
 
   double input_fraction() const { return fraction_; }
 
@@ -69,9 +69,9 @@ class SizeThresholdPolicy final : public PlacementPolicy {
  public:
   explicit SizeThresholdPolicy(double threshold_bytes, bool invert = false);
   std::string name() const override;
-  std::vector<std::string> files_to_stage(const wf::Workflow& w) const override;
-  Tier place_output(const wf::Workflow& w, const std::string& task_name,
-                    const std::string& file_name) const override;
+  std::vector<wf::FileId> files_to_stage(const wf::Workflow& w) const override;
+  Tier place_output(const wf::Workflow& w, wf::TaskId task,
+                    wf::FileId file) const override;
 
  private:
   double threshold_;
@@ -86,9 +86,9 @@ class LocalityPolicy final : public PlacementPolicy {
  public:
   explicit LocalityPolicy(std::size_t max_consumers_for_bb = 1);
   std::string name() const override;
-  std::vector<std::string> files_to_stage(const wf::Workflow& w) const override;
-  Tier place_output(const wf::Workflow& w, const std::string& task_name,
-                    const std::string& file_name) const override;
+  std::vector<wf::FileId> files_to_stage(const wf::Workflow& w) const override;
+  Tier place_output(const wf::Workflow& w, wf::TaskId task,
+                    wf::FileId file) const override;
 
  private:
   std::size_t max_consumers_;
@@ -101,9 +101,9 @@ class GreedyBytesPolicy final : public PlacementPolicy {
  public:
   explicit GreedyBytesPolicy(double byte_budget);
   std::string name() const override;
-  std::vector<std::string> files_to_stage(const wf::Workflow& w) const override;
-  Tier place_output(const wf::Workflow& w, const std::string& task_name,
-                    const std::string& file_name) const override;
+  std::vector<wf::FileId> files_to_stage(const wf::Workflow& w) const override;
+  Tier place_output(const wf::Workflow& w, wf::TaskId task,
+                    wf::FileId file) const override;
 
  private:
   double budget_;

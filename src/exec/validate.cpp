@@ -19,7 +19,8 @@ std::vector<ValidationIssue> validate_result(const Result& result,
   };
 
   // --- every task ran exactly once, with ordered phases -------------------
-  for (const std::string& name : workflow.task_names()) {
+  for (const wf::Task& task : workflow.tasks()) {
+    const std::string& name = task.name;
     const auto it = result.tasks.find(name);
     if (it == result.tasks.end()) {
       complain("task '" + name + "' has no record", IssueCode::kMissingRecord);
@@ -70,9 +71,11 @@ std::vector<ValidationIssue> validate_result(const Result& result,
     }
     return rec.t_end;
   };
-  for (const std::string& name : workflow.task_names()) {
+  for (wf::TaskId id = 0; id < workflow.task_count(); ++id) {
+    const std::string& name = workflow.task(id).name;
     const TaskRecord& child = result.tasks.at(name);
-    for (const std::string& p : workflow.parents(name)) {
+    for (const wf::TaskId parent_id : workflow.parents(id)) {
+      const std::string& p = workflow.task(parent_id).name;
       const TaskRecord& parent = result.tasks.at(p);
       const double done = parent_done_by(p, parent);
       if (done > child.t_start + 1e-9) {

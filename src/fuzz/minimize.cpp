@@ -31,9 +31,8 @@ std::optional<Scenario> without_task(const Scenario& base, const std::string& vi
   out.workflow.name = base.workflow.name;
 
   std::set<std::string> referenced;
-  for (const std::string& name : base.workflow.task_names()) {
-    if (name == victim) continue;
-    wf::Task task = base.workflow.task(name);
+  for (wf::Task task : base.workflow.tasks()) {
+    if (task.name == victim) continue;
     task.inputs.erase(std::remove_if(task.inputs.begin(), task.inputs.end(),
                                      [&](const std::string& f) {
                                        return dropped_files.count(f) > 0;
@@ -43,9 +42,9 @@ std::optional<Scenario> without_task(const Scenario& base, const std::string& vi
     for (const std::string& f : task.outputs) referenced.insert(f);
     out.workflow.add_task(std::move(task));
   }
-  for (const std::string& f : base.workflow.file_names()) {
-    if (dropped_files.count(f) > 0 || referenced.count(f) == 0) continue;
-    out.workflow.add_file(base.workflow.file(f));
+  for (const wf::File& f : base.workflow.files()) {
+    if (dropped_files.count(f.name) > 0 || referenced.count(f.name) == 0) continue;
+    out.workflow.add_file(f);
   }
   try {
     out.workflow.validate();
@@ -61,15 +60,14 @@ std::optional<Scenario> without_input_file(const Scenario& base,
   Scenario out = base;
   out.workflow = wf::Workflow{};
   out.workflow.name = base.workflow.name;
-  for (const std::string& name : base.workflow.task_names()) {
-    wf::Task task = base.workflow.task(name);
+  for (wf::Task task : base.workflow.tasks()) {
     task.inputs.erase(std::remove(task.inputs.begin(), task.inputs.end(), victim),
                       task.inputs.end());
     out.workflow.add_task(std::move(task));
   }
-  for (const std::string& f : base.workflow.file_names()) {
-    if (f == victim) continue;
-    out.workflow.add_file(base.workflow.file(f));
+  for (const wf::File& f : base.workflow.files()) {
+    if (f.name == victim) continue;
+    out.workflow.add_file(f);
   }
   try {
     out.workflow.validate();
@@ -81,9 +79,7 @@ std::optional<Scenario> without_input_file(const Scenario& base,
 
 int max_task_cores(const Scenario& sc) {
   int m = 1;
-  for (const std::string& name : sc.workflow.task_names()) {
-    m = std::max(m, sc.workflow.task(name).requested_cores);
-  }
+  for (const wf::Task& t : sc.workflow.tasks()) m = std::max(m, t.requested_cores);
   m = std::max(m, sc.config.force_cores);
   return m;
 }
@@ -138,8 +134,9 @@ Scenario minimize_scenario(const Scenario& failing, const RunOptions& options) {
     changed = false;
 
     // Tasks first: each removal deletes the most scenario surface.
-    for (const std::string& name : std::vector<std::string>(
-             current.workflow.task_names())) {
+    std::vector<std::string> names;
+    for (const wf::Task& t : current.workflow.tasks()) names.push_back(t.name);
+    for (const std::string& name : names) {
       const auto candidate = without_task(current, name);
       if (candidate && reproduces(*candidate, options)) {
         current = *candidate;
@@ -148,8 +145,11 @@ Scenario minimize_scenario(const Scenario& failing, const RunOptions& options) {
     }
 
     // Then unconsumed bytes: workflow input files.
-    for (const std::string& fname :
-         std::vector<std::string>(current.workflow.input_files())) {
+    std::vector<std::string> inputs;
+    for (const wf::FileId f : current.workflow.input_files()) {
+      inputs.push_back(current.workflow.file(f).name);
+    }
+    for (const std::string& fname : inputs) {
       const auto candidate = without_input_file(current, fname);
       if (candidate && reproduces(*candidate, options)) {
         current = *candidate;

@@ -98,16 +98,15 @@ json::Value Scenario::to_json() const {
   json::Object wfo;
   wfo.set("name", workflow.name);
   json::Array files;
-  for (const std::string& fname : workflow.file_names()) {
+  for (const wf::File& f : workflow.files()) {
     json::Object o;
-    o.set("name", fname);
-    o.set("size", workflow.file(fname).size);
+    o.set("name", f.name);
+    o.set("size", f.size);
     files.push_back(json::Value(std::move(o)));
   }
   wfo.set("files", json::Value(std::move(files)));
   json::Array tasks;
-  for (const std::string& tname : workflow.task_names()) {
-    const wf::Task& t = workflow.task(tname);
+  for (const wf::Task& t : workflow.tasks()) {
     json::Object o;
     o.set("name", t.name);
     o.set("type", t.type);

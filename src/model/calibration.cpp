@@ -45,8 +45,8 @@ std::size_t calibrate_workflow(wf::Workflow& workflow,
     throw InvariantError("reference core speed must be > 0");
   }
   std::size_t calibrated = 0;
-  for (const std::string& name : workflow.task_names()) {
-    wf::Task& t = workflow.task_mut(name);
+  for (wf::TaskId id = 0; id < workflow.task_count(); ++id) {
+    wf::Task& t = workflow.task_mut(id);
     const auto it = by_type.find(t.type);
     if (it == by_type.end()) continue;
     const TaskObservation& obs = it->second;

@@ -14,37 +14,35 @@ WorkflowSummary summarize(const Workflow& workflow) {
   s.total_flops = workflow.total_flops();
   s.total_bytes = workflow.total_data_bytes();
   s.input_bytes = workflow.input_data_bytes();
-  for (const std::string& f : workflow.output_files()) {
-    s.output_bytes += workflow.file(f).size;
-  }
-  for (const std::string& f : workflow.intermediate_files()) {
+  for (const FileId f : workflow.output_files()) s.output_bytes += workflow.file(f).size;
+  for (const FileId f : workflow.intermediate_files()) {
     s.intermediate_bytes += workflow.file(f).size;
   }
 
   // Level structure via longest path depth.
-  std::map<std::string, std::size_t> depth;
+  std::vector<std::size_t> depth(workflow.task_count(), 0);
   std::map<std::size_t, std::size_t> width;
-  for (const std::string& t : workflow.topological_order()) {
+  for (const TaskId t : workflow.topological_order()) {
     std::size_t d = 1;
-    for (const std::string& p : workflow.parents(t)) d = std::max(d, depth[p] + 1);
+    for (const TaskId p : workflow.parents(t)) d = std::max(d, depth[p] + 1);
     depth[t] = d;
     ++width[d];
     s.levels = std::max(s.levels, d);
   }
   for (const auto& [_, count] : width) s.max_level_width = std::max(s.max_level_width, count);
 
-  for (const std::string& tname : workflow.task_names()) {
-    const Task& t = workflow.task(tname);
+  for (TaskId id = 0; id < workflow.task_count(); ++id) {
+    const Task& t = workflow.task(id);
     s.max_fan_in = std::max(s.max_fan_in, t.inputs.size());
     TypeSummary& ts = s.by_type[t.type];
     ++ts.count;
     ts.total_flops += t.flops;
     ts.max_requested_cores = std::max(ts.max_requested_cores, t.requested_cores);
-    for (const std::string& f : t.inputs) ts.total_input_bytes += workflow.file(f).size;
-    for (const std::string& f : t.outputs) ts.total_output_bytes += workflow.file(f).size;
+    for (const FileId f : workflow.inputs(id)) ts.total_input_bytes += workflow.file(f).size;
+    for (const FileId f : workflow.outputs(id)) ts.total_output_bytes += workflow.file(f).size;
   }
-  for (const std::string& fname : workflow.file_names()) {
-    s.max_fan_out = std::max(s.max_fan_out, workflow.consumers(fname).size());
+  for (FileId f = 0; f < workflow.file_count(); ++f) {
+    s.max_fan_out = std::max(s.max_fan_out, workflow.consumers(f).size());
   }
   return s;
 }

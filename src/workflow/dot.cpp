@@ -31,8 +31,7 @@ std::string to_dot(const Workflow& workflow, const DotOptions& options) {
   out += "  rankdir=TB;\n  node [fontname=\"Helvetica\"];\n";
 
   std::map<std::string, std::size_t> type_color;
-  for (const std::string& tname : workflow.task_names()) {
-    const Task& t = workflow.task(tname);
+  for (const Task& t : workflow.tasks()) {
     std::string attrs = "shape=box";
     if (options.color_by_type) {
       const auto [it, inserted] = type_color.emplace(t.type, type_color.size());
@@ -43,42 +42,40 @@ std::string to_dot(const Workflow& workflow, const DotOptions& options) {
     out += "  " + quote(t.name) + " [" + attrs + "];\n";
   }
 
+  const auto task_node = [&workflow](TaskId t) { return quote(workflow.task(t).name); };
   if (options.show_files) {
-    for (const std::string& fname : workflow.file_names()) {
-      const File& f = workflow.file(fname);
-      std::string label = fname;
+    for (const File& f : workflow.files()) {
+      std::string label = f.name;
       if (options.label_sizes) label += "\\n" + util::format_size(f.size);
-      out += "  " + quote("file:" + fname) +
+      out += "  " + quote("file:" + f.name) +
              " [shape=ellipse,fontsize=10,label=\"" + label + "\"];\n";
     }
-    for (const std::string& fname : workflow.file_names()) {
-      if (const auto producer = workflow.producer(fname)) {
-        out += "  " + quote(*producer) + " -> " + quote("file:" + fname) + ";\n";
+    for (FileId f = 0; f < workflow.file_count(); ++f) {
+      const std::string file_node = quote("file:" + workflow.file(f).name);
+      if (const auto producer = workflow.producer(f)) {
+        out += "  " + task_node(*producer) + " -> " + file_node + ";\n";
       }
-      for (const std::string& consumer : workflow.consumers(fname)) {
-        out += "  " + quote("file:" + fname) + " -> " + quote(consumer) + ";\n";
+      for (const TaskId consumer : workflow.consumers(f)) {
+        out += "  " + file_node + " -> " + task_node(consumer) + ";\n";
       }
     }
     // Control dependencies have no file vertex; draw them dashed.
-    for (const std::string& tname : workflow.task_names()) {
-      for (const std::string& child : workflow.children(tname)) {
-        bool via_file = false;
-        for (const std::string& fname : workflow.task(tname).outputs) {
-          const auto consumers = workflow.consumers(fname);
-          if (std::find(consumers.begin(), consumers.end(), child) != consumers.end()) {
-            via_file = true;
-            break;
-          }
-        }
+    for (TaskId t = 0; t < workflow.task_count(); ++t) {
+      for (const TaskId child : workflow.children(t)) {
+        const auto outputs = workflow.outputs(t);
+        const bool via_file = std::any_of(outputs.begin(), outputs.end(), [&](FileId f) {
+          const auto consumers = workflow.consumers(f);
+          return std::find(consumers.begin(), consumers.end(), child) != consumers.end();
+        });
         if (!via_file) {
-          out += "  " + quote(tname) + " -> " + quote(child) + " [style=dashed];\n";
+          out += "  " + task_node(t) + " -> " + task_node(child) + " [style=dashed];\n";
         }
       }
     }
   } else {
-    for (const std::string& tname : workflow.task_names()) {
-      for (const std::string& child : workflow.children(tname)) {
-        out += "  " + quote(tname) + " -> " + quote(child) + ";\n";
+    for (TaskId t = 0; t < workflow.task_count(); ++t) {
+      for (const TaskId child : workflow.children(t)) {
+        out += "  " + task_node(t) + " -> " + task_node(child) + ";\n";
       }
     }
   }

@@ -155,8 +155,7 @@ json::Value to_wfformat(const Workflow& workflow) {
   root.set("schemaVersion", "bbsim-legacy-1.0");
   json::Object wf_node;
   json::Array jobs;
-  for (const std::string& tname : workflow.task_names()) {
-    const Task& t = workflow.task(tname);
+  for (const Task& t : workflow.tasks()) {
     json::Object job;
     job.set("name", t.name);
     job.set("type", t.type);

@@ -53,8 +53,8 @@ TEST(Sampler, ScenariosAreFeasible) {
     // Every task's core request fits the largest host.
     int max_cores = 0;
     for (const auto& h : sc.platform.hosts) max_cores = std::max(max_cores, h.cores);
-    for (const auto& name : sc.workflow.task_names())
-      EXPECT_LE(sc.workflow.task(name).requested_cores, max_cores) << name;
+    for (const wf::Task& t : sc.workflow.tasks())
+      EXPECT_LE(t.requested_cores, max_cores) << t.name;
   }
 }
 

@@ -113,14 +113,15 @@ TEST_P(EngineProperty, RandomDagsRespectBoundsOnAllPlatforms) {
     ASSERT_EQ(r.tasks.size(), w.task_count());
     double compute_lower_bound = 0.0;  // critical path of compute times
     std::map<std::string, double> finish_at_least;
-    for (const std::string& name : w.topological_order()) {
-      const wf::Task& t = w.task(name);
+    for (const wf::TaskId id : w.topological_order()) {
+      const wf::Task& t = w.task(id);
+      const std::string& name = t.name;
       const double t_seq = t.flops / plat.hosts[0].core_speed;
       const double compute =
           model::amdahl_time(t_seq, r.tasks.at(name).cores, t.alpha);
       double start = 0.0;
-      for (const std::string& p : w.parents(name)) {
-        start = std::max(start, finish_at_least[p]);
+      for (const wf::TaskId p : w.parents(id)) {
+        start = std::max(start, finish_at_least[w.task(p).name]);
       }
       finish_at_least[name] = start + compute;
       compute_lower_bound = std::max(compute_lower_bound, finish_at_least[name]);
@@ -135,8 +136,10 @@ TEST_P(EngineProperty, RandomDagsRespectBoundsOnAllPlatforms) {
     EXPECT_GE(r.makespan, compute_lower_bound - 1e-6) << to_string(system);
 
     // Parents complete before children start.
-    for (const std::string& name : w.task_names()) {
-      for (const std::string& p : w.parents(name)) {
+    for (wf::TaskId id = 0; id < w.task_count(); ++id) {
+      const std::string& name = w.task(id).name;
+      for (const wf::TaskId parent : w.parents(id)) {
+        const std::string& p = w.task(parent).name;
         EXPECT_LE(r.tasks.at(p).t_end, r.tasks.at(name).t_start + 1e-9)
             << p << " -> " << name;
       }

@@ -223,7 +223,7 @@ RunOutcome run_scenario(const Scenario& scenario, const RunOptions& options) {
   out.divergences = oracle::diff_results(engine_result, reference_result, options.diff);
   out.diverged = !out.divergences.empty();
   if (!out.diverged && options.engine_bb_capacity_scale == 1.0) {
-    // The twin rebuilds its stack from the scenario, so it only matches the
+    // The twin builds its own stack from the scenario, so it only matches the
     // engine run when no out-of-band capacity scaling was applied.
     check_critpath_battery(scenario, scenario.exec_config(),
                            engine_result.to_json().dump(), out);

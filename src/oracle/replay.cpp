@@ -90,11 +90,11 @@ class RefSim {
  private:
   // ------------------------------------------------------- event kernel
   // A flat (time, sequence)-ordered map with FIFO ties, the same contract
-  // as sim::Engine's priority queue.
+  // as sim::Engine's (time, id) event heap.
   using EventKey = std::pair<double, std::uint64_t>;
 
   EventKey schedule_in(double dt, std::function<void()> fn) {
-    const EventKey key{now_ + dt, next_seq_++};
+    const EventKey key{now_ + dt, scheduled_count_++};
     events_.emplace(key, std::move(fn));
     return key;
   }
@@ -1014,7 +1014,7 @@ class RefSim {
   RefConfig config_;
 
   double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t scheduled_count_ = 0;
   std::map<EventKey, std::function<void()>> events_;
 
   std::vector<double> res_capacity_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "stats/metrics.hpp"
 #include "trace/profiler.hpp"
@@ -23,22 +24,28 @@ Engine::Engine(const obs::Sinks& sinks)
   if (sinks.profiler != nullptr) dispatch_profile_ = sinks.profiler->section("sim.dispatch");
 }
 
-EventId Engine::schedule_at(Time t, EventHandler fn) {
+void Engine::check_time(const char* op, Time t) const {
   // Finiteness first: NaN compares false with everything, so a past-time
   // check alone would blame NaN on "the past" instead of naming it.
   if (!std::isfinite(t)) {
     if (std::isnan(t)) {
-      throw util::InvariantError("schedule_at: time is NaN (now=" +
+      throw util::InvariantError(std::string(op) + ": time is NaN (now=" +
                                  std::to_string(now_) + ")");
     }
-    throw util::InvariantError("schedule_at: non-finite time " + std::to_string(t));
+    throw util::InvariantError(std::string(op) + ": non-finite time " +
+                               std::to_string(t));
   }
   if (t < now_) {
-    throw util::InvariantError("schedule_at: time " + std::to_string(t) +
+    throw util::InvariantError(std::string(op) + ": time " + std::to_string(t) +
                                " is in the past (now=" + std::to_string(now_) + ")");
   }
+}
+
+EventId Engine::schedule_at(Time t, EventHandler fn) {
+  check_time("schedule_at", t);
   const EventId id = next_id_++;
-  queue_.push(EventRecord{t, next_seq_++, id});
+  queue_.push_back(EventRecord{t, id});
+  std::push_heap(queue_.begin(), queue_.end(), EventRecord::later);
   handlers_.emplace(id, std::move(fn));
   if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
   if (events_scheduled_ != nullptr) {
@@ -61,8 +68,10 @@ bool Engine::cancel(EventId id) {
   // the stored size proportional to the live size. The +64 slack keeps
   // small queues from compacting on every other cancellation.
   if (tombstones_ > handlers_.size() + 64) {
-    queue_.remove_if_not(
-        [this](EventId eid) { return handlers_.count(eid) != 0; });
+    std::erase_if(queue_, [this](const EventRecord& r) {
+      return handlers_.count(r.id) == 0;
+    });
+    std::make_heap(queue_.begin(), queue_.end(), EventRecord::later);
     tombstones_ = 0;
   }
   if (observer_ != nullptr) observer_->on_cancelled(id);
@@ -77,12 +86,19 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-bool Engine::pop_live(EventRecord& out) {
-  while (queue_.pop_min(out)) {
-    if (handlers_.count(out.id) != 0) return true;
+const Engine::EventRecord* Engine::next_live() {
+  while (!queue_.empty() && handlers_.count(queue_.front().id) == 0) {
+    pop_top();
     if (tombstones_ > 0) --tombstones_;  // lazily discarded cancellation
   }
-  return false;
+  return queue_.empty() ? nullptr : &queue_.front();
+}
+
+Engine::EventRecord Engine::pop_top() {
+  std::pop_heap(queue_.begin(), queue_.end(), EventRecord::later);
+  const EventRecord r = queue_.back();
+  queue_.pop_back();
+  return r;
 }
 
 void Engine::execute(const EventRecord& r) {
@@ -109,9 +125,8 @@ void Engine::execute(const EventRecord& r) {
 }
 
 bool Engine::step() {
-  EventRecord r{};
-  if (!pop_live(r)) return false;
-  execute(r);
+  if (next_live() == nullptr) return false;
+  execute(pop_top());
   return true;
 }
 
@@ -122,17 +137,14 @@ Time Engine::run() {
 }
 
 bool Engine::run_until(Time t) {
-  EventRecord r{};
-  while (pop_live(r)) {
-    if (r.time > t) {
-      queue_.push(r);  // keeps its original seq: ordering is unchanged
-      now_ = t;
-      return true;
-    }
-    execute(r);
+  check_time("run_until", t);
+  const EventRecord* next = next_live();
+  while (next != nullptr && next->time <= t) {
+    execute(pop_top());
+    next = next_live();
   }
-  now_ = std::max(now_, t);
-  return false;
+  now_ = t;
+  return next != nullptr;
 }
 
 }  // namespace bbsim::sim

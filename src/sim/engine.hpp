@@ -1,18 +1,18 @@
 // bbsim -- discrete-event simulation kernel.
 //
 // A minimal, deterministic event engine in the style of SimGrid's kernel:
-// a virtual clock and a calendar queue (event_queue.hpp) of timestamped
-// events. Everything above (flows, storage services, the workflow engine)
-// is driven by callbacks scheduled here.
+// a virtual clock and a binary min-heap of timestamped events. Everything
+// above (flows, storage services, the workflow engine) is driven by
+// callbacks scheduled here.
 //
-// Determinism: ties in time are broken by insertion order (a monotonically
-// increasing sequence number), so two runs of the same program produce the
-// same event interleaving.
+// Determinism: the heap orders events by (time, id), and every
+// schedule_at takes the next id, so ties in time break in insertion order
+// and two runs of the same program produce the same event interleaving.
 //
 // Cancellation is lazy: cancel() drops the handler immediately (so
 // pending_count() is always the live count) and leaves a tombstone record
-// in the queue, discarded when popped; when tombstones outnumber live
-// events the queue is compacted in one O(stored) pass.
+// in the heap, discarded when it reaches the top; when tombstones
+// outnumber live events the heap is compacted in one O(stored) pass.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "obs/sinks.hpp"
-#include "sim/event_queue.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::stats {
@@ -34,6 +33,13 @@ struct ProfileSection;
 }  // namespace bbsim::trace
 
 namespace bbsim::sim {
+
+/// Simulated time in seconds.
+using Time = double;
+
+/// Handle for a scheduled event, usable with Engine::cancel(). Ids are
+/// never reused.
+using EventId = std::uint64_t;
 
 /// Callback invoked when an event fires. It runs at `Engine::now()` equal to
 /// the event's timestamp and may schedule further events.
@@ -90,7 +96,8 @@ class Engine {
   Time run();
 
   /// Process all events with timestamp <= `t`, then set the clock to `t`.
-  /// Returns true if the queue still holds future events.
+  /// Returns true if the queue still holds future events. Like
+  /// schedule_at, rejects a non-finite `t` or one before now().
   bool run_until(Time t);
 
   /// Execute exactly one event (the earliest); returns false if none pending.
@@ -105,11 +112,25 @@ class Engine {
   std::size_t pending_count() const { return handlers_.size(); }
 
  private:
+  /// One pending event. Ids grow with every schedule_at, so the id is the
+  /// FIFO tie-break among equal timestamps.
+  struct EventRecord {
+    Time time = 0.0;
+    EventId id = 0;
+    /// Heap comparator: the top of queue_ is the smallest (time, id).
+    static bool later(const EventRecord& a, const EventRecord& b) {
+      if (a.time != b.time) return a.time > b.time;
+      return a.id > b.id;
+    }
+  };
+
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::size_t executed_ = 0;
-  CalendarQueue queue_;
+  /// Binary min-heap (std::push_heap / std::pop_heap with
+  /// EventRecord::later), live records and tombstones alike.
+  std::vector<EventRecord> queue_;
+  /// The liveness authority: a record whose id is missing is a tombstone.
   std::unordered_map<EventId, EventHandler> handlers_;
   /// Cancelled records still sitting in queue_; compacted when they
   /// outnumber the live events (plus slack, so small queues never compact).
@@ -129,8 +150,14 @@ class Engine {
   std::size_t queue_track_ = 0;
   trace::ProfileSection* dispatch_profile_ = nullptr;
 
-  /// Pops the next live record (discarding tombstones) or returns false.
-  bool pop_live(EventRecord& out);
+  /// Throws unless `t` is finite and not before now(); `op` names the
+  /// caller in the message.
+  void check_time(const char* op, Time t) const;
+  /// Discards tombstones from the top of queue_; returns the earliest live
+  /// record, or nullptr when none is pending.
+  const EventRecord* next_live();
+  /// Removes and returns the top of queue_ (which must not be empty).
+  EventRecord pop_top();
   /// Advances the clock to `r.time` and runs its handler.
   void execute(const EventRecord& r);
 };

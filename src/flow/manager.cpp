@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "trace/profiler.hpp"
 #include "trace/timeline.hpp"
@@ -140,12 +141,16 @@ FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   settle();
   const FlowId id = net_.add_flow(std::move(spec));
   index_.insert(id, seconds_to_finish(net_.flow(id)));
-  handlers_.emplace(id, std::move(on_complete));
+  if (id >= handlers_.size()) {
+    handlers_.resize(id + 1);
+    flow_started_.resize(id + 1);
+  }
+  handlers_[id] = std::move(on_complete);
+  flow_started_[id] = engine_.now();
   if (timeline_ != nullptr) {
     const FlowState& st = net_.flow(id);
     timeline_->flow_begin(id, engine_.now(), st.spec.label, st.spec.volume);
   }
-  if (transfer_hist_ != nullptr) flow_started_.emplace(id, engine_.now());
   reschedule();
   return id;
 }
@@ -161,9 +166,8 @@ std::optional<double> FlowManager::cancel(FlowId id) {
   const double moved = std::max(0.0, st.spec.volume - st.remaining);
   net_.remove_flow(id);
   index_.erase(id);
-  handlers_.erase(id);
+  handlers_[id] = nullptr;
   if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), false);
-  flow_started_.erase(id);
   reschedule();
   return moved;
 }
@@ -322,16 +326,10 @@ void FlowManager::on_wake() {
   callbacks.reserve(done_.size());
   for (const FlowId id : done_) {
     net_.remove_flow(id);
-    auto it = handlers_.find(id);
-    callbacks.push_back(std::move(it->second));
-    handlers_.erase(it);
+    callbacks.push_back(std::exchange(handlers_[id], nullptr));
     if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), true);
     if (transfer_hist_ != nullptr) {
-      const auto started = flow_started_.find(id);
-      if (started != flow_started_.end()) {
-        transfer_hist_->record(engine_.now() - started->second);
-        flow_started_.erase(started);
-      }
+      transfer_hist_->record(engine_.now() - flow_started_[id]);
     }
   }
 

@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flow/network.hpp"
@@ -97,7 +96,10 @@ class FlowManager {
  private:
   sim::Engine& engine_;
   Network net_;
-  std::unordered_map<FlowId, CompletionHandler> handlers_;
+  /// Completion handler of each live flow (index = FlowId; empty once the
+  /// flow ends). Ids are recycled, so like the completion index's slots
+  /// this stays at the concurrent-flow high-water mark.
+  std::vector<CompletionHandler> handlers_;
   sim::EventId wake_event_ = 0;
   bool wake_scheduled_ = false;
   sim::Time last_settle_ = 0.0;
@@ -171,9 +173,9 @@ class FlowManager {
   trace::TimelineRecorder* timeline_ = nullptr;
   trace::ProfileSection* solve_profile_ = nullptr;
   stats::Histogram* transfer_hist_ = nullptr;
-  /// Flow start times for the transfer-duration histogram; maintained only
-  /// when a metrics registry is attached.
-  std::unordered_map<FlowId, sim::Time> flow_started_;
+  /// Start time of each live flow (index = FlowId), for the
+  /// transfer-duration histogram.
+  std::vector<sim::Time> flow_started_;
 
   struct BandwidthGroup {
     std::string name;

@@ -574,13 +574,10 @@ void Simulation::on_reads_done(TaskState& ts) {
   ts.record.t_reads_done = fabric_.engine().now();
   ts.reading = false;
   trace(TraceEventKind::ReadsDone, &ts);
-  if (resil_ == nullptr) {
-    const double duration = compute_duration(ts);
-    fabric_.engine().schedule_in(duration, [this, &ts] { on_compute_done(ts); });
-    return;
-  }
   ts.compute_total = compute_duration(ts);
   // A restarted attempt resumes from its last durable (drained) checkpoint.
+  // Without checkpoints that is 0 and the interval is 0, so the whole
+  // compute is one segment.
   ts.compute_done = std::min(ts.ckpt_durable, ts.compute_total);
   run_compute_segment(ts);
 }

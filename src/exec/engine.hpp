@@ -178,7 +178,8 @@ class Simulation {
     std::size_t next_io = 0;  ///< next input (reading) / output (writing) to issue
     std::size_t inflight_io = 0;
     TaskRecord record;
-    // Resilience bookkeeping (only touched when the resil layer is active).
+    // Compute segments and resilience bookkeeping (attempts, I/O handles
+    // and checkpoints change only when the resil layer is active).
     int attempt = 0;                 ///< restarts so far (0 = first attempt)
     bool event_pending = false;      ///< pending_event below is live
     sim::EventId pending_event = 0;  ///< in-flight compute / restart event

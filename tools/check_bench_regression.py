@@ -15,6 +15,12 @@ bbsim.bench.flow_solver.v1 (BENCH_flow_solver.json)
   incremental solver must still agree with the full re-solve and the oracle
   to 1e-6.
 
+  Exact work counts, with and without --relative: `transfers`, `solves`,
+  `engine.flows` and `engine.events` of every tier in both files must equal
+  the baseline. They are deterministic functions of the tier's seeded
+  input, so they gate the solver's and the engine phase's work (the
+  FlowManager's schedule/cancel churn) on any hardware.
+
   With --relative, the absolute solves_per_second comparison is skipped:
   absolute throughput measured on shared CI runners is not comparable to a
   baseline captured on different hardware. Instead the gate uses
@@ -55,6 +61,9 @@ import json
 import sys
 
 DIVERGENCE_TOL = 1e-6
+# flow_solver fields that must equal the baseline exactly ("a.b" = nested).
+FLOW_SOLVER_EXACT_COUNTS = ("transfers", "solves", "engine.flows",
+                            "engine.events")
 SCHEMAS = ("bbsim.bench.flow_solver.v1", "bbsim.bench.batch.v1",
            "bbsim.bench.critpath.v1")
 
@@ -92,6 +101,14 @@ def gate_throughput(label, key, base_tier, cur_tier, threshold):
     return cur_tp < floor
 
 
+def field(tier, dotted):
+    """The value at a dotted path in a tier, or None when absent."""
+    value = tier
+    for part in dotted.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return value
+
+
 def check_flow_solver(baseline, current, args):
     failed = False
     for label in sorted(set(baseline) | set(current)):
@@ -99,6 +116,21 @@ def check_flow_solver(baseline, current, args):
             print(f"tier {label}: only in baseline -- skipped")
             continue
         cur = current[label]
+
+        if label in baseline:
+            mismatched = False
+            for key in FLOW_SOLVER_EXACT_COUNTS:
+                base_count = field(baseline[label], key)
+                cur_count = field(cur, key)
+                if cur_count != base_count:
+                    print(f"tier {label}: FAIL {key} {cur_count} != "
+                          f"baseline {base_count}")
+                    mismatched = True
+            if mismatched:
+                failed = True
+            else:
+                print(f"tier {label}: ok work counts match "
+                      f"({len(FLOW_SOLVER_EXACT_COUNTS)} checked)")
 
         for key in ("max_rel_divergence_full", "max_rel_divergence_oracle"):
             div = cur.get(key, 0.0)

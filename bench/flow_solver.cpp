@@ -12,10 +12,13 @@
 //   * a few sampled steps also run the long-double oracle
 //     (oracle::reference_maxmin) over the whole window;
 //   * an engine-driven phase times end-to-end event dispatch through
-//     FlowManager + the calendar queue.
+//     FlowManager + sim::Engine's event heap.
 //
 // Writes BENCH_flow_solver.json (schema bbsim.bench.flow_solver.v1) -- the
 // trajectory later PRs must not regress (tools/check_bench_regression.py).
+// The work counts (transfers, solves, engine flows and events) are exact
+// functions of the seeded input, and the regression check requires them to
+// equal the baseline on any hardware.
 //
 // Usage: bench_flow_solver [--tiers 10k,100k,1m] [--out FILE]
 #include <algorithm>
@@ -289,7 +292,7 @@ json::Value run_tier(const Tier& tier) {
   const double churn_seconds = seconds_since(t_churn) - referee_seconds;
 
   // End-to-end engine phase: the same transfers driven through FlowManager
-  // completions, exercising the calendar queue's schedule/cancel churn.
+  // completions, exercising the engine's schedule/cancel churn.
   const std::size_t engine_flows = std::min<std::size_t>(plans.size(), 200000);
   sim::Engine engine;
   flow::FlowManager fm(engine);

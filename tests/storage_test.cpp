@@ -5,6 +5,7 @@
 #include "platform/presets.hpp"
 #include "storage/system.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bbsim::storage {
 namespace {
@@ -162,6 +163,76 @@ TEST(NodeLocalBBTest, LocalReadTimeUsesDeviceOnly) {
   bb->read({"f", 1600.0}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 2.0);  // 1600 / min(950 disk, 800 iface)
+}
+
+// ------------------------------------------------------ I/O plan shapes
+
+/// One planned sub-flow by resource name, so a wrong hop fails even where
+/// the resource is unlimited (the test hosts' NICs are) and timing is blind.
+struct NamedSubFlow {
+  double volume = 0.0;
+  std::vector<std::string> path;
+  bool operator==(const NamedSubFlow&) const = default;
+};
+
+void PrintTo(const NamedSubFlow& sf, std::ostream* os) {
+  *os << sf.volume << " B via " << util::join(sf.path, " -> ");
+}
+
+std::vector<NamedSubFlow> named(Fabric& fabric, const IoPlan& plan) {
+  std::vector<NamedSubFlow> out;
+  for (const SubFlow& sf : plan.data) {
+    NamedSubFlow n{sf.volume, {}};
+    for (const flow::ResourceId r : sf.path) {
+      n.path.push_back(fabric.flows().network().resource(r).name);
+    }
+    out.push_back(std::move(n));
+  }
+  return out;
+}
+
+TEST(IoPlanTest, EveryKindPinsPathsVolumesAndMetadataOps) {
+  // 2 hosts; every plan is made for host 1, so node choices that ignore the
+  // host (or swap read and write paths) show.
+  struct Case {
+    const char* what;
+    StorageKind bb_kind;
+    BBMode mode;
+    int bb_nodes;
+    const char* service;
+    double metadata_ops;
+    std::vector<NamedSubFlow> read;
+    std::vector<NamedSubFlow> write;
+  };
+  const std::vector<Case> cases = {
+      {"pfs", StorageKind::SharedBB, BBMode::Private, 2, "pfs", 1.0,
+       {{1000.0, {"pfs[0].disk_read", "pfs[0].link_down", "h1.nic_down"}}},
+       {{1000.0, {"h1.nic_up", "pfs[0].link_up", "pfs[0].disk_write"}}}},
+      {"private shared bb", StorageKind::SharedBB, BBMode::Private, 2, "bb", 1.0,
+       {{1000.0, {"bb[1].disk_read", "bb[1].link_down", "h1.nic_down"}}},
+       {{1000.0, {"h1.nic_up", "bb[1].link_up", "bb[1].disk_write"}}}},
+      {"striped shared bb", StorageKind::SharedBB, BBMode::Striped, 2, "bb", 2.0,
+       {{500.0, {"bb[0].disk_read", "bb[0].link_down", "h1.nic_down"}},
+        {500.0, {"bb[1].disk_read", "bb[1].link_down", "h1.nic_down"}}},
+       {{500.0, {"h1.nic_up", "bb[0].link_up", "bb[0].disk_write"}},
+        {500.0, {"h1.nic_up", "bb[1].link_up", "bb[1].disk_write"}}}},
+      {"node-local bb", StorageKind::NodeLocalBB, BBMode::Private, 2, "bb", 1.0,
+       {{1000.0, {"bb[1].disk_read", "bb[1].link_down"}}},
+       {{1000.0, {"bb[1].link_up", "bb[1].disk_write"}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Fabric fabric(tiny_platform(c.bb_kind, c.mode, c.bb_nodes, /*hosts=*/2));
+    StorageSystem sys(fabric);
+    StorageService& svc = sys.service(c.service);
+    svc.register_file({"f", 1000.0}, 1);
+    const IoPlan read = svc.plan_read({"f", 1000.0}, 1);
+    const IoPlan write = svc.plan_write({"g", 1000.0}, 1);
+    EXPECT_EQ(named(fabric, read), c.read);
+    EXPECT_EQ(named(fabric, write), c.write);
+    EXPECT_DOUBLE_EQ(read.metadata_ops, c.metadata_ops);
+    EXPECT_DOUBLE_EQ(write.metadata_ops, c.metadata_ops);
+  }
 }
 
 TEST(ServiceTest, LatencyDelaysData) {

@@ -202,12 +202,8 @@ void Simulation::prepare() {
   // Locality pinning when the burst buffer restricts reads by node. Staged
   // files travel via their first consumer's home, which the implicit
   // stage-in takes from the pinning even when pinning is off.
-  const bool restricted =
-      bb_svc != nullptr &&
-      (bb_svc->kind() == StorageKind::NodeLocalBB ||
-       (bb_svc->kind() == StorageKind::SharedBB &&
-        bb_svc->spec().mode == platform::BBMode::Private));
-  const bool pin = config_.locality_pinning && restricted;
+  const bool pin =
+      config_.locality_pinning && bb_svc != nullptr && bb_svc->node_restricted();
   std::vector<std::size_t> homes;
   if (pin || implicit_stage_in) {
     homes = compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);
@@ -704,11 +700,7 @@ Tier Simulation::output_tier(const TaskState& ts, wf::FileId file, Tier requeste
   if (bb_svc == nullptr) return Tier::PFS;
   // Demotion 1: a consumer pinned to another node could never read the
   // replica on a node-restricted BB.
-  const bool restricted =
-      bb_svc->kind() == StorageKind::NodeLocalBB ||
-      (bb_svc->kind() == StorageKind::SharedBB &&
-       bb_svc->spec().mode == platform::BBMode::Private);
-  if (restricted) {
+  if (bb_svc->node_restricted()) {
     for (const wf::TaskId consumer : workflow_.consumers(file)) {
       const TaskState& cs = states_[consumer];
       const std::size_t consumer_host = cs.pinned ? cs.home_host : ts.host;

@@ -332,7 +332,7 @@ class RefSim {
     return pfs_with_file;
   }
 
-  std::vector<std::pair<double, std::vector<std::uint32_t>>> route_read(
+  std::vector<std::pair<double, std::vector<std::uint32_t>>> read_route(
       const RService& svc, const RReplica& rep, double size, std::size_t host_idx) {
     std::vector<std::pair<double, std::vector<std::uint32_t>>> out;
     switch (svc.spec->kind) {
@@ -365,7 +365,7 @@ class RefSim {
     return out;
   }
 
-  std::vector<std::pair<double, std::vector<std::uint32_t>>> route_write(
+  std::vector<std::pair<double, std::vector<std::uint32_t>>> write_route(
       const RService& svc, const std::string& name, double size, std::size_t host_idx) {
     std::vector<std::pair<double, std::vector<std::uint32_t>>> out;
     const int target = placement_node(svc, name, host_idx);
@@ -409,7 +409,7 @@ class RefSim {
     plan.metadata_ops = metadata_ops_per_file(svc);
     plan.metadata_res = svc.metadata;
     plan.rate_cap = svc.spec->stream_bw;
-    plan.data = route_read(svc, it->second, size, host_idx);
+    plan.data = read_route(svc, it->second, size, host_idx);
     return plan;
   }
 
@@ -420,7 +420,7 @@ class RefSim {
     plan.metadata_ops = metadata_ops_per_file(svc);
     plan.metadata_res = svc.metadata;
     plan.rate_cap = svc.spec->stream_bw;
-    plan.data = route_write(svc, name, size, host_idx);
+    plan.data = write_route(svc, name, size, host_idx);
     return plan;
   }
 

@@ -1,5 +1,6 @@
 #include "storage/service.hpp"
 
+#include <functional>
 #include <memory>
 
 #include "trace/timeline.hpp"
@@ -203,8 +204,62 @@ void StorageService::erase_file(const std::string& file_name) {
   sample_occupancy();
 }
 
-bool StorageService::readable_from(const std::string& file_name, std::size_t) const {
-  return has_file(file_name);
+bool StorageService::striped() const {
+  return spec_.kind == platform::StorageKind::SharedBB &&
+         spec_.mode == platform::BBMode::Striped;
+}
+
+bool StorageService::node_restricted() const {
+  return spec_.kind == platform::StorageKind::NodeLocalBB ||
+         (spec_.kind == platform::StorageKind::SharedBB &&
+          spec_.mode == platform::BBMode::Private);
+}
+
+bool StorageService::readable_from(const std::string& file_name,
+                                   std::size_t host_idx) const {
+  const Replica* rep = replica(file_name);
+  return rep != nullptr && (!node_restricted() || rep->creator_host == host_idx);
+}
+
+int StorageService::placement_node(const FileRef& file, std::size_t host_idx) const {
+  const auto nodes = static_cast<std::size_t>(spec_.num_nodes);
+  switch (spec_.kind) {
+    case platform::StorageKind::PFS:
+      return static_cast<int>(std::hash<std::string>{}(file.name) % nodes);
+    case platform::StorageKind::SharedBB:
+      return striped() ? -1 : static_cast<int>(host_idx % nodes);
+    case platform::StorageKind::NodeLocalBB:
+      return static_cast<int>(host_idx);
+  }
+  return 0;
+}
+
+std::vector<SubFlow> StorageService::route(int node, double size, std::size_t host_idx,
+                                           bool is_write) const {
+  const platform::StorageResources& r = fabric_.storage_resources(storage_idx_);
+  const platform::HostResources* nic =
+      kind() == platform::StorageKind::NodeLocalBB ? nullptr
+                                                   : &fabric_.host_resources(host_idx);
+  const auto path = [&](std::size_t n) -> std::vector<flow::ResourceId> {
+    if (is_write) {
+      if (nic == nullptr) return {r.link_up[n], r.disk_write[n]};
+      return {nic->nic_up, r.link_up[n], r.disk_write[n]};
+    }
+    if (nic == nullptr) return {r.disk_read[n], r.link_down[n]};
+    return {r.disk_read[n], r.link_down[n], nic->nic_down};
+  };
+  if (node >= 0) return {SubFlow{size, path(static_cast<std::size_t>(node))}};
+  const int stripes = spec_.num_nodes;
+  std::vector<SubFlow> flows;
+  flows.reserve(static_cast<std::size_t>(stripes));
+  for (int i = 0; i < stripes; ++i) {
+    flows.push_back(SubFlow{size / stripes, path(static_cast<std::size_t>(i))});
+  }
+  return flows;
+}
+
+double StorageService::metadata_ops_per_file() const {
+  return striped() ? static_cast<double>(spec_.num_nodes) : 1.0;
 }
 
 void StorageService::apply_perturbation(IoPlan& plan, const FileRef& file, bool is_write,
@@ -229,9 +284,9 @@ IoPlan StorageService::plan_read(const FileRef& file, std::size_t host_idx) cons
   IoPlan plan;
   plan.latency = spec_.link.latency + spec_.base_latency;
   plan.metadata_ops = metadata_ops_per_file();
-  plan.metadata_res = res().metadata;
+  plan.metadata_res = fabric_.storage_resources(storage_idx_).metadata;
   plan.rate_cap = spec_.stream_bw;
-  plan.data = route_read(*rep, file, host_idx);
+  plan.data = route(rep->node, file.size, host_idx, /*is_write=*/false);
   if (timeline_ != nullptr) {
     plan.label =
         "read " + file.name + " " + name() + "->host" + std::to_string(host_idx);
@@ -244,9 +299,9 @@ IoPlan StorageService::plan_write(const FileRef& file, std::size_t host_idx) con
   IoPlan plan;
   plan.latency = spec_.link.latency + spec_.base_latency;
   plan.metadata_ops = metadata_ops_per_file();
-  plan.metadata_res = res().metadata;
+  plan.metadata_res = fabric_.storage_resources(storage_idx_).metadata;
   plan.rate_cap = spec_.stream_bw;
-  plan.data = route_write(file, host_idx);
+  plan.data = route(placement_node(file, host_idx), file.size, host_idx, /*is_write=*/true);
   if (timeline_ != nullptr) {
     plan.label =
         "write " + file.name + " host" + std::to_string(host_idx) + "->" + name();

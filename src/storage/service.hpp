@@ -1,16 +1,15 @@
 // bbsim -- storage services: the objects workflow tasks read from / write to.
 //
 // A StorageService models one deployment from the platform spec (the PFS,
-// Cori's shared DataWarp burst buffer, or Summit's node-local NVMe). Each
-// I/O operation is planned as:
+// Cori's shared DataWarp burst buffer in private or striped mode, or
+// Summit's node-local NVMe). Each I/O operation is planned as:
 //
 //   fixed latency  ->  metadata ops (flow through the metadata resource)
 //                  ->  one or more data sub-flows (max-min shared)
 //
-// Subclasses decide replica placement (which storage node holds a file),
-// access restrictions (private-mode namespaces, node locality) and how data
-// sub-flows are routed/striped. The base class owns replica bookkeeping,
-// capacity accounting and plan execution.
+// The spec's kind and mode decide where a file lives, who may read it back,
+// which resources its sub-flows cross and how many metadata ops it costs
+// (paper Section III-A); everything else is shared by all three kinds.
 #pragma once
 
 #include <cstddef>
@@ -145,8 +144,10 @@ class StorageObserver {
                                  double size) = 0;
 };
 
-/// Abstract storage service. Construct subclasses via make_service() or
-/// StorageSystem (system.hpp).
+/// One storage deployment of any kind; StorageSystem (system.hpp) builds
+/// one per StorageSpec. The spec decides placement (placement_node),
+/// readability (node_restricted), the sub-flow paths (route) and the
+/// metadata cost (metadata_ops_per_file); the rest is common to all kinds.
 class StorageService {
  public:
   /// Where a file's bytes live inside this service.
@@ -162,7 +163,6 @@ class StorageService {
   /// once at construction), plan labels (IoPlan::label) when a timeline is
   /// attached, and the capacity/replica observer.
   StorageService(platform::Fabric& fabric, std::size_t storage_idx);
-  virtual ~StorageService() = default;
   StorageService(const StorageService&) = delete;
   StorageService& operator=(const StorageService&) = delete;
 
@@ -198,9 +198,11 @@ class StorageService {
   /// Total capacity across storage nodes (kUnlimited for the PFS).
   double total_capacity() const;
 
-  /// May `host_idx` read this file from here? (Private-mode namespaces and
-  /// node-local devices restrict access; paper Section III-A.)
-  virtual bool readable_from(const std::string& file_name, std::size_t host_idx) const;
+  /// True when only the host that wrote a file may read it back: a
+  /// node-local device or a private-mode namespace (paper Section III-A).
+  bool node_restricted() const;
+  /// May `host_idx` read this file from here?
+  bool readable_from(const std::string& file_name, std::size_t host_idx) const;
 
   // ----------------------------------------------------------- operations
   // Both return a handle that can cancel the operation mid-flight: the
@@ -237,25 +239,8 @@ class StorageService {
   /// (accounting for an overwritten pre-existing replica) is subtracted.
   void abort_write_reservation(const FileRef& file);
 
- protected:
-  /// Subclass hooks: route the data sub-flows. The base class fills in
-  /// latency, metadata and caps.
-  virtual std::vector<SubFlow> route_read(const Replica& rep, const FileRef& file,
-                                          std::size_t host_idx) const = 0;
-  virtual std::vector<SubFlow> route_write(const FileRef& file,
-                                           std::size_t host_idx) const = 0;
-  /// Storage node that would hold a new file written by `host_idx`
-  /// (-1 = striped).
-  virtual int placement_node(const FileRef& file, std::size_t host_idx) const = 0;
-  /// Metadata ops consumed by one operation (striping costs more).
-  virtual double metadata_ops_per_file() const { return 1.0; }
-
-  platform::Fabric& fabric_;
-  const platform::StorageResources& res() const {
-    return fabric_.storage_resources(storage_idx_);
-  }
-
  private:
+  platform::Fabric& fabric_;
   std::size_t storage_idx_;
   const platform::StorageSpec& spec_;
   std::map<std::string, Replica> replicas_;
@@ -267,6 +252,20 @@ class StorageService {
   stats::TimeSeries* occupancy_series_ = nullptr;
   trace::TimelineRecorder* timeline_ = nullptr;
   std::size_t occupancy_track_ = 0;
+
+  /// A shared BB in striped mode: every file spans all storage nodes.
+  bool striped() const;
+  /// Storage node that holds a file written by `host_idx`: the name hash
+  /// mod the node count on the PFS, the host mod the node count on a shared
+  /// BB (-1 = all nodes when striped), the host's own device when node-local.
+  int placement_node(const FileRef& file, std::size_t host_idx) const;
+  /// The data sub-flows moving `size` bytes between storage node `node`
+  /// (-1 = one equal share per node) and host `host_idx`: NIC, storage link,
+  /// disk, in the direction of travel. Node-local I/O has no NIC hop.
+  std::vector<SubFlow> route(int node, double size, std::size_t host_idx,
+                             bool is_write) const;
+  /// Metadata ops per file operation: one per stripe, otherwise one.
+  double metadata_ops_per_file() const;
 
   /// Create/replace the replica record for `file` and notify the observer.
   void install_replica(const FileRef& file, std::size_t host_idx);

@@ -12,20 +12,10 @@ using util::InvariantError;
 using util::NotFoundError;
 
 StorageSystem::StorageSystem(platform::Fabric& fabric) : fabric_(fabric) {
-  const auto& specs = fabric.spec().storage;
-  services_.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    switch (specs[i].kind) {
-      case StorageKind::PFS:
-        services_.push_back(std::make_unique<PfsService>(fabric, i));
-        break;
-      case StorageKind::SharedBB:
-        services_.push_back(std::make_unique<SharedBurstBuffer>(fabric, i));
-        break;
-      case StorageKind::NodeLocalBB:
-        services_.push_back(std::make_unique<NodeLocalBurstBuffer>(fabric, i));
-        break;
-    }
+  const std::size_t count = fabric.spec().storage.size();
+  services_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    services_.push_back(std::make_unique<StorageService>(fabric, i));
   }
 }
 

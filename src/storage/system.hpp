@@ -1,22 +1,21 @@
-// bbsim -- StorageSystem: all storage services of a platform plus the
-// cross-service file registry and fused transfers (stage-in/stage-out).
+// bbsim -- StorageSystem: the storage services of a platform, lookups
+// across them (replicas_of, best_source) and fused transfers (stage-in,
+// stage-out).
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "storage/node_local_bb.hpp"
-#include "storage/pfs.hpp"
 #include "storage/service.hpp"
-#include "storage/shared_bb.hpp"
 
 namespace bbsim::storage {
 
 class StorageSystem {
  public:
-  /// Builds one service per StorageSpec in the fabric's platform; each
-  /// attaches the fabric's observer bundle (Fabric::sinks()).
+  /// Builds one StorageService per StorageSpec in the fabric's platform, in
+  /// declaration order; each attaches the fabric's observer bundle
+  /// (Fabric::sinks()).
   explicit StorageSystem(platform::Fabric& fabric);
   StorageSystem(const StorageSystem&) = delete;
   StorageSystem& operator=(const StorageSystem&) = delete;

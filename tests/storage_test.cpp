@@ -148,10 +148,8 @@ TEST(NodeLocalBBTest, OnlyHolderHostReads) {
   bb->register_file({"f", 100.0}, 1);
   EXPECT_FALSE(bb->readable_from("f", 0));
   EXPECT_TRUE(bb->readable_from("f", 1));
-  auto* local = dynamic_cast<NodeLocalBurstBuffer*>(bb);
-  ASSERT_NE(local, nullptr);
-  EXPECT_EQ(local->holder_host("f"), 1u);
-  EXPECT_EQ(local->holder_host("ghost"), NodeLocalBurstBuffer::npos);
+  EXPECT_EQ(bb->replica("f")->node, 1);  // the holder's own device
+  EXPECT_EQ(bb->replica("ghost"), nullptr);
 }
 
 TEST(NodeLocalBBTest, LocalReadTimeUsesDeviceOnly) {

@@ -155,8 +155,6 @@ FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   return id;
 }
 
-bool FlowManager::abort(FlowId id) { return cancel(id).has_value(); }
-
 std::optional<double> FlowManager::cancel(FlowId id) {
   if (!net_.has_flow(id)) return std::nullopt;
   // Settle first so the bytes moved between the last event and now land in

@@ -55,10 +55,6 @@ class FlowManager {
   /// zero-delay event, preserving run-to-completion semantics).
   FlowId start(FlowSpec spec, CompletionHandler on_complete);
 
-  /// Abort an in-progress flow; its handler is never called.
-  /// Returns false if the flow already completed.
-  bool abort(FlowId id);
-
   /// Cancel an in-flight transfer mid-flow: progress up to the current
   /// simulated time is settled into the per-resource ledger (bytes_served /
   /// busy_time), the unmoved remainder is discarded, and the completion

@@ -31,7 +31,7 @@ double IoOp::cancel() {
     latency_pending_ = false;
   }
   if (meta_pending_) {
-    fabric_->flows().abort(meta_flow_);
+    fabric_->flows().cancel(meta_flow_);
     meta_pending_ = false;
   }
   // Flows that already completed were removed from the manager and their

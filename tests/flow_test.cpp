@@ -252,7 +252,7 @@ TEST(FlowManager, AbortSuppressesCallback) {
   const ResourceId r = fm.network().add_resource("r", 100.0);
   bool fired = false;
   const FlowId f = fm.start({1000.0, {r}}, [&] { fired = true; });
-  engine.schedule_at(1.0, [&] { EXPECT_TRUE(fm.abort(f)); });
+  engine.schedule_at(1.0, [&] { EXPECT_TRUE(fm.cancel(f).has_value()); });
   engine.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(fm.active_count(), 0u);
@@ -625,7 +625,7 @@ TEST(NetworkEdge, ManySmallPlusOneHuge) {
 TEST(NetworkEdge, AbortOfUnknownFlowIsFalse) {
   sim::Engine engine;
   FlowManager fm(engine);
-  EXPECT_FALSE(fm.abort(12345));
+  EXPECT_FALSE(fm.cancel(12345).has_value());
 }
 
 // --------------------------------------------- NaN / degenerate hardening

@@ -1,5 +1,6 @@
 #include "cli/batch_cli.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -7,6 +8,7 @@
 #include "batch/report.hpp"
 #include "resil/fault.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace bbsim::cli {
@@ -90,21 +92,21 @@ BatchCliOptions parse_batch_cli(const std::vector<std::string>& args) {
     } else if (a == "--jobs-file") {
       opt.jobs_path = next_value(a);
     } else if (a == "--gen") {
-      const long long n = std::stoll(next_value(a));
+      const auto n = util::to_integer<std::int64_t>(next_value(a), a);
       if (n <= 0) throw ConfigError("--gen must be a positive job count");
       opt.gen_count = static_cast<std::size_t>(n);
     } else if (a == "--load") {
-      opt.load = std::stod(next_value(a));
+      opt.load = util::to_number(next_value(a), a);
     } else if (a == "--arrival") {
       opt.arrival = next_value(a);
     } else if (a == "--estimate-factor") {
-      opt.estimate_factor = std::stod(next_value(a));
+      opt.estimate_factor = util::to_number(next_value(a), a);
     } else if (a == "--max-job-nodes") {
-      opt.max_job_nodes = std::stoi(next_value(a));
+      opt.max_job_nodes = util::to_integer<int>(next_value(a), a);
     } else if (a == "--seed") {
-      opt.seed = std::stoull(next_value(a));
+      opt.seed = util::to_integer<std::uint64_t>(next_value(a), a);
     } else if (a == "--nodes") {
-      opt.nodes = std::stoi(next_value(a));
+      opt.nodes = util::to_integer<int>(next_value(a), a);
     } else if (a == "--bb-capacity") {
       opt.bb_capacity = util::parse_size(next_value(a));
     } else if (a == "--bb-granule") {
@@ -112,7 +114,7 @@ BatchCliOptions parse_batch_cli(const std::vector<std::string>& args) {
     } else if (a == "--policy") {
       opt.policy = next_value(a);
     } else if (a == "--tau") {
-      opt.tau = std::stod(next_value(a));
+      opt.tau = util::to_number(next_value(a), a);
     } else if (a == "--faults") {
       opt.faults = next_value(a);
     } else if (a == "--report-out") {
@@ -174,7 +176,7 @@ batch::StreamConfig stream_config_from(const BatchCliOptions& options) {
   // --arrival poisson | weibull | weibull:SHAPE
   std::string kind = options.arrival;
   if (const auto colon = kind.find(':'); colon != std::string::npos) {
-    cfg.weibull_shape = std::stod(kind.substr(colon + 1));
+    cfg.weibull_shape = util::to_number(kind.substr(colon + 1), "--arrival");
     kind = kind.substr(0, colon);
   }
   cfg.arrivals = batch::arrival_process_from_string(kind);

@@ -1,7 +1,10 @@
 #include "cli/options.hpp"
 
+#include <cstdint>
+
 #include "resil/fault.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bbsim::cli {
 
@@ -119,15 +122,15 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--bb-mode") {
       opt.bb_mode = platform::bb_mode_from_string(next_value(a));
     } else if (a == "--nodes") {
-      opt.nodes = std::stoi(next_value(a));
+      opt.nodes = util::to_integer<int>(next_value(a), a);
     } else if (a == "--workflow") {
       opt.workflow = next_value(a);
     } else if (a == "--pipelines") {
-      opt.pipelines = std::stoi(next_value(a));
+      opt.pipelines = util::to_integer<int>(next_value(a), a);
     } else if (a == "--chromosomes") {
-      opt.chromosomes = std::stoi(next_value(a));
+      opt.chromosomes = util::to_integer<int>(next_value(a), a);
     } else if (a == "--cores") {
-      opt.cores = std::stoi(next_value(a));
+      opt.cores = util::to_integer<int>(next_value(a), a);
     } else if (a == "--policy") {
       opt.policy = next_value(a);
     } else if (a == "--scheduler") {
@@ -135,7 +138,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--stage-in") {
       opt.stage_in = exec::stage_in_mode_from_string(next_value(a));
     } else if (a == "--stage-width") {
-      opt.stage_width = std::stoi(next_value(a));
+      opt.stage_width = util::to_integer<int>(next_value(a), a);
     } else if (a == "--stage-out") {
       opt.stage_out = true;
     } else if (a == "--evict") {
@@ -149,11 +152,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--testbed") {
       opt.testbed_system = system_from(next_value(a));
     } else if (a == "--reps") {
-      opt.repetitions = std::stoi(next_value(a));
+      opt.repetitions = util::to_integer<int>(next_value(a), a);
     } else if (a == "--seed") {
-      opt.seed = std::stoull(next_value(a));
+      opt.seed = util::to_integer<std::uint64_t>(next_value(a), a);
     } else if (a == "--jobs") {
-      opt.jobs = std::stoi(next_value(a));
+      opt.jobs = util::to_integer<int>(next_value(a), a);
     } else if (a == "--trace") {
       opt.trace_path = next_value(a);
     } else if (a == "--csv") {

@@ -12,6 +12,7 @@
 #include "sweep/report.hpp"
 #include "testbed/testbed.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "workflow/clustering.hpp"
 
 namespace bbsim::cli {
@@ -60,7 +61,7 @@ SweepCliOptions parse_sweep_cli(const std::vector<std::string>& args) {
     if (a == "--help" || a == "-h") {
       opt.help = true;
     } else if (a == "--jobs") {
-      opt.jobs = std::stoi(next_value(a));
+      opt.jobs = util::to_integer<int>(next_value(a), a);
     } else if (a == "--out") {
       opt.out_path = next_value(a);
     } else if (a == "--timeline-dir") {

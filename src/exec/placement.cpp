@@ -174,7 +174,8 @@ std::shared_ptr<PlacementPolicy> make_policy(const std::string& spec) {
   if (kind == "all_bb") return all_bb_policy();
   if (kind == "fraction") {
     need_arg("0..1");
-    return std::make_shared<FractionPolicy>(std::stod(arg), Tier::BurstBuffer);
+    return std::make_shared<FractionPolicy>(util::to_number(arg, "policy " + kind),
+                                            Tier::BurstBuffer);
   }
   if (kind == "size" || kind == "size_inv") {
     need_arg("bytes");

@@ -12,25 +12,6 @@ using util::ConfigError;
 
 namespace {
 
-double to_number(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double n = std::stod(value, &used);
-    if (used != value.size()) throw ConfigError("");
-    return n;
-  } catch (const std::exception&) {
-    throw ConfigError("fault spec: bad number '" + value + "' for key '" + key + "'");
-  }
-}
-
-std::uint64_t to_seed(const std::string& value) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    throw ConfigError("fault spec: bad seed '" + value + "'");
-  }
-}
-
 /// Split "key=value" with validation.
 std::pair<std::string, std::string> key_value(const std::string& entry,
                                               const char* what) {
@@ -69,32 +50,33 @@ FaultSpec FaultSpec::parse(const std::string& text) {
     const std::string entry = util::trim(raw);
     if (entry.empty()) continue;
     const auto [key, value] = key_value(entry, "fault spec");
+    const std::string what = "fault spec key '" + key + "'";
     if (key == "seed") {
-      spec.seed = to_seed(value);
+      spec.seed = util::to_integer<std::uint64_t>(value, what);
     } else if (key == "node_mtbf") {
-      spec.node_mtbf = to_number(key, value);
+      spec.node_mtbf = util::to_number(value, what);
     } else if (key == "node_shape") {
-      spec.node_shape = to_number(key, value);
+      spec.node_shape = util::to_number(value, what);
     } else if (key == "node_repair") {
-      spec.node_repair = to_number(key, value);
+      spec.node_repair = util::to_number(value, what);
     } else if (key == "bb_mtbf") {
-      spec.bb_mtbf = to_number(key, value);
+      spec.bb_mtbf = util::to_number(value, what);
     } else if (key == "bb_shape") {
-      spec.bb_shape = to_number(key, value);
+      spec.bb_shape = util::to_number(value, what);
     } else if (key == "bb_degrade") {
-      spec.bb_degrade = to_number(key, value);
+      spec.bb_degrade = util::to_number(value, what);
     } else if (key == "bb_duration") {
-      spec.bb_duration = to_number(key, value);
+      spec.bb_duration = util::to_number(value, what);
     } else if (key == "pfs_mtbf") {
-      spec.pfs_mtbf = to_number(key, value);
+      spec.pfs_mtbf = util::to_number(value, what);
     } else if (key == "pfs_shape") {
-      spec.pfs_shape = to_number(key, value);
+      spec.pfs_shape = util::to_number(value, what);
     } else if (key == "pfs_brownout") {
-      spec.pfs_brownout = to_number(key, value);
+      spec.pfs_brownout = util::to_number(value, what);
     } else if (key == "pfs_duration") {
-      spec.pfs_duration = to_number(key, value);
+      spec.pfs_duration = util::to_number(value, what);
     } else if (key == "horizon") {
-      spec.horizon = to_number(key, value);
+      spec.horizon = util::to_number(value, what);
     } else {
       throw ConfigError("fault spec: unknown key '" + key + "'");
     }
@@ -167,9 +149,10 @@ CheckpointSpec CheckpointSpec::parse(const std::string& text) {
       continue;
     }
     const auto [key, value] = key_value(entry, "checkpoint spec");
+    const std::string what = "checkpoint spec key '" + key + "'";
     if (key == "interval") {
       spec.mode = Mode::Interval;
-      spec.interval = to_number(key, value);
+      spec.interval = util::to_number(value, what);
     } else if (key == "bytes") {
       try {
         spec.bytes = util::parse_size(value);
@@ -177,11 +160,11 @@ CheckpointSpec CheckpointSpec::parse(const std::string& text) {
         throw ConfigError("checkpoint spec: bad size '" + value + "'");
       }
     } else if (key == "fraction") {
-      spec.fraction = to_number(key, value);
+      spec.fraction = util::to_number(value, what);
     } else if (key == "restart") {
-      spec.restart_latency = to_number(key, value);
+      spec.restart_latency = util::to_number(value, what);
     } else if (key == "min_compute") {
-      spec.min_compute = to_number(key, value);
+      spec.min_compute = util::to_number(value, what);
     } else {
       throw ConfigError("checkpoint spec: unknown key '" + key + "'");
     }

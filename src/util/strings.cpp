@@ -51,6 +51,17 @@ std::string to_lower(std::string text) {
   return text;
 }
 
+double to_number(const std::string& text, const std::string& what) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+    // std::invalid_argument or std::out_of_range: rejected below
+  }
+  throw ConfigError("bad number '" + text + "' for " + what);
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

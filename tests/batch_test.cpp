@@ -455,6 +455,15 @@ TEST(BatchCli, ParsesSizesArrivalsAndPolicies) {
   EXPECT_DOUBLE_EQ(cfg.weibull_shape, 0.4);
   EXPECT_DOUBLE_EQ(cfg.load, 1.1);
   EXPECT_EQ(cfg.job_count, 50u);
+  // Malformed numbers are errors, not silently truncated.
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--load", "1.1x"}), ConfigError);
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--load", "abc"}), ConfigError);
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--nodes", "abc"}), ConfigError);
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5x"}), ConfigError);
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--seed", "-1"}), ConfigError);
+  EXPECT_THROW(cli::stream_config_from(cli::parse_batch_cli(
+                   {"--gen", "5", "--arrival", "weibull:1.5x"})),
+               ConfigError);
 }
 
 // ------------------------------------------------------------ node outages
@@ -612,6 +621,8 @@ TEST(BatchCli, ParsesAndValidatesFaultsSpec) {
   const resil::FaultSpec spec = resil::FaultSpec::parse(opt.faults);
   EXPECT_DOUBLE_EQ(spec.node_mtbf, 3600.0);
   EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--faults", "bogus=1"}),
+               ConfigError);
+  EXPECT_THROW(cli::parse_batch_cli({"--gen", "5", "--faults", "seed=7x"}),
                ConfigError);
 }
 

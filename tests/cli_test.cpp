@@ -1,6 +1,9 @@
 // Unit tests for the command-line option parser and resolvers.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cli/options.hpp"
 #include "cli/runner.hpp"
 #include "util/error.hpp"
@@ -63,6 +66,21 @@ TEST(CliParse, Errors) {
   EXPECT_THROW(parse_cli({"--scheduler", "nope"}), ConfigError);
   EXPECT_THROW(parse_cli({"--stage-in", "nope"}), ConfigError);
   EXPECT_THROW(parse_cli({"--testbed", "nope"}), ConfigError);
+  // A number must be all of the value, whole where the flag counts things,
+  // and unsigned for a seed; the error names the flag.
+  const std::vector<std::vector<std::string>> malformed = {
+      {"--pipelines", "2x"}, {"--seed", "12abc"}, {"--reps", "2.9"},
+      {"--nodes", "abc"},    {"--seed", "-1"},    {"--stage-width", ""},
+      {"--cores", "99999999999"}};
+  for (const std::vector<std::string>& args : malformed) {
+    try {
+      (void)parse_cli(args);
+      ADD_FAILURE() << args[0] << " '" << args[1] << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(args[0]), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(parse_cli({"--policy", "fraction:0.5x"}), ConfigError);
 }
 
 TEST(CliParse, HelpFlag) {
@@ -81,6 +99,8 @@ TEST(CliPolicy, SpecsResolve) {
   EXPECT_NE(make_policy("greedy:4GB")->name().find("4.0GB"), std::string::npos);
   EXPECT_THROW(make_policy("fraction"), ConfigError);
   EXPECT_THROW(make_policy("greedy"), ConfigError);
+  EXPECT_THROW(make_policy("fraction:0.5x"), ConfigError);
+  EXPECT_THROW(make_policy("fraction:abc"), ConfigError);
 }
 
 TEST(CliResolve, PlatformPresets) {

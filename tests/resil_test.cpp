@@ -55,6 +55,14 @@ TEST(FaultSpec, UnknownKeyThrows) {
 TEST(FaultSpec, BadNumberThrows) {
   EXPECT_THROW(FaultSpec::parse("node_mtbf=abc"), util::ConfigError);
   EXPECT_THROW(FaultSpec::parse("node_mtbf"), util::ConfigError);
+  EXPECT_THROW(FaultSpec::parse("seed=7x"), util::ConfigError);
+  EXPECT_THROW(FaultSpec::parse("seed=1.5"), util::ConfigError);
+  try {
+    (void)FaultSpec::parse("node_mtbf=100,seed=-1");  // would wrap to 2^64-1
+    ADD_FAILURE() << "seed=-1 was accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(FaultSpec, OutOfRangeValuesThrow) {

@@ -423,6 +423,8 @@ TEST(SweepCli, ParseRejectsBadArgs) {
   EXPECT_THROW(cli::parse_sweep_cli({}), util::ConfigError);
   EXPECT_THROW(cli::parse_sweep_cli({"a.json", "b.json"}), util::ConfigError);
   EXPECT_THROW(cli::parse_sweep_cli({"--bogus"}), util::ConfigError);
+  EXPECT_THROW(cli::parse_sweep_cli({"--jobs", "2x", "s.json"}), util::ConfigError);
+  EXPECT_THROW(cli::parse_sweep_cli({"--jobs", "abc", "s.json"}), util::ConfigError);
   const auto opt =
       cli::parse_sweep_cli({"spec.json", "--jobs", "0", "--timings", "--audit"});
   EXPECT_EQ(opt.jobs, 0);

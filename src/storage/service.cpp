@@ -238,8 +238,8 @@ std::vector<SubFlow> StorageService::route(int node, double size, std::size_t ho
                                            bool is_write) const {
   const platform::StorageResources& r = fabric_.storage_resources(storage_idx_);
   const platform::HostResources* nic =
-      kind() == platform::StorageKind::NodeLocalBB ? nullptr
-                                                   : &fabric_.host_resources(host_idx);
+      spec_.kind == platform::StorageKind::NodeLocalBB ? nullptr
+                                                       : &fabric_.host_resources(host_idx);
   const auto path = [&](std::size_t n) -> std::vector<flow::ResourceId> {
     if (is_write) {
       if (nic == nullptr) return {r.link_up[n], r.disk_write[n]};

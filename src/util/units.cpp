@@ -6,6 +6,7 @@
 #include <map>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bbsim::util {
 
@@ -22,18 +23,21 @@ NumberWithSuffix split_number(const std::string& text) {
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
   const std::size_t start = i;
   if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
-  bool saw_digit = false;
   while (i < text.size() &&
          (std::isdigit(static_cast<unsigned char>(text[i])) || text[i] == '.' ||
           text[i] == 'e' || text[i] == 'E' ||
           ((text[i] == '+' || text[i] == '-') && i > start &&
            (text[i - 1] == 'e' || text[i - 1] == 'E')))) {
-    if (std::isdigit(static_cast<unsigned char>(text[i]))) saw_digit = true;
     ++i;
   }
-  if (!saw_digit) throw ParseError("no number in '" + text + "'");
+  // The whole prefix must be one number: "1.2.3GB" or "1e" is malformed,
+  // not 1.2 GB or 1 B.
   NumberWithSuffix out;
-  out.value = std::stod(text.substr(start, i - start));
+  try {
+    out.value = to_number(text.substr(start, i - start), text);
+  } catch (const ConfigError&) {
+    throw ParseError("malformed number in '" + text + "'");
+  }
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
   std::size_t end = text.size();
   while (end > i && std::isspace(static_cast<unsigned char>(text[end - 1]))) --end;

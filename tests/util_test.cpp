@@ -41,6 +41,11 @@ TEST(Units, ParseSizeRejectsGarbage) {
   EXPECT_THROW(parse_size("12 XB"), ParseError);
   EXPECT_THROW(parse_size(""), ParseError);
   EXPECT_THROW(parse_size("-5 MB"), ParseError);
+  // The numeric prefix must be one whole number.
+  EXPECT_THROW(parse_size("1.2.3GB"), ParseError);
+  EXPECT_THROW(parse_size("1e5e3GB"), ParseError);
+  EXPECT_THROW(parse_size("1e"), ParseError);
+  EXPECT_THROW(parse_size("1e999"), ParseError);
 }
 
 TEST(Units, ParseBandwidthVariants) {
@@ -48,6 +53,12 @@ TEST(Units, ParseBandwidthVariants) {
   EXPECT_DOUBLE_EQ(parse_bandwidth("6.5 GB/s"), 6.5e9);
   EXPECT_DOUBLE_EQ(parse_bandwidth("950 MBps"), 950e6);
   EXPECT_DOUBLE_EQ(parse_bandwidth("100"), 100.0);
+}
+
+TEST(Units, ParseBandwidthRejectsGarbage) {
+  EXPECT_THROW(parse_bandwidth("1.5.5 GB/s"), ParseError);
+  EXPECT_THROW(parse_bandwidth("GB/s"), ParseError);
+  EXPECT_THROW(parse_bandwidth("5 XB/s"), ParseError);
 }
 
 TEST(Units, FormatRoundTripMagnitudes) {

@@ -8,6 +8,7 @@
 
 #include "fuzz/runner.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -41,7 +42,8 @@ Exit status: 0 = no divergence, 1 = divergence found, 2 = usage error.
 
 int main(int argc, char** argv) {
   using bbsim::fuzz::CampaignOptions;
-  using bbsim::fuzz::RunOptions;
+  using bbsim::util::to_integer;
+  using bbsim::util::to_number;
 
   std::string mode = "exec";
   std::string replay_path;
@@ -69,21 +71,21 @@ int main(int argc, char** argv) {
           throw bbsim::util::ConfigError("unknown --mode '" + mode + "'");
         }
       } else if (a == "--seed") {
-        options.seed = std::stoull(next_value(a));
+        options.seed = to_integer<std::uint64_t>(next_value(a), a);
       } else if (a == "--iters") {
-        options.iterations = std::stoi(next_value(a));
+        options.iterations = to_integer<int>(next_value(a), a);
       } else if (a == "--rel-tol") {
-        options.run.diff.rel_tol = std::stod(next_value(a));
+        options.run.diff.rel_tol = to_number(next_value(a), a);
       } else if (a == "--abs-tol") {
-        options.run.diff.abs_tol = std::stod(next_value(a));
+        options.run.diff.abs_tol = to_number(next_value(a), a);
       } else if (a == "--max-failures") {
-        options.max_failures = std::stoi(next_value(a));
+        options.max_failures = to_integer<int>(next_value(a), a);
       } else if (a == "--out") {
         options.out_dir = next_value(a);
       } else if (a == "--no-minimize") {
         options.minimize = false;
       } else if (a == "--perturb-bb") {
-        options.run.engine_bb_capacity_scale = std::stod(next_value(a));
+        options.run.engine_bb_capacity_scale = to_number(next_value(a), a);
       } else if (a == "--replay") {
         replay_path = next_value(a);
       } else {

@@ -155,8 +155,6 @@ int Simulation::cores_for(const wf::Task& task) const {
   if (task.type == kStageInType) return 1;  // always sequential (paper Sec. III-D)
   int cores = task.requested_cores;
   if (config_.force_cores > 0) cores = config_.force_cores;
-  const auto it = config_.cores_by_type.find(task.type);
-  if (it != config_.cores_by_type.end()) cores = it->second;
   return std::max(1, cores);
 }
 
@@ -202,8 +200,7 @@ void Simulation::prepare() {
   // Locality pinning when the burst buffer restricts reads by node. Staged
   // files travel via their first consumer's home, which the implicit
   // stage-in takes from the pinning even when pinning is off.
-  const bool pin =
-      config_.locality_pinning && bb_svc != nullptr && bb_svc->node_restricted();
+  const bool pin = bb_svc != nullptr && bb_svc->node_restricted();
   std::vector<std::size_t> homes;
   if (pin || implicit_stage_in) {
     homes = compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);

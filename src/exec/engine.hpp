@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,11 +85,9 @@ struct ExecutionConfig {
   int stage_in_width = 1;
   /// Override requested cores for every task (0 = honour task settings).
   int force_cores = 0;
-  /// Per-type core overrides (applied after force_cores).
-  std::map<std::string, int> cores_by_type;
-  /// Pin producer/consumer chains to hosts when the BB restricts access by
-  /// node. Auto-enabled for node-local and private-mode shared BBs.
-  bool locality_pinning = true;
+  /// How producer/consumer chains are pinned to hosts, which happens
+  /// whenever the BB restricts reads by node (node-local and private-mode
+  /// shared BBs).
   PinningConfig pinning;
   /// Record the full event trace (disable for large sweeps).
   bool collect_trace = true;

@@ -79,22 +79,6 @@ std::vector<const TaskRecord*> Result::records_of(const std::string& type) const
   return out;
 }
 
-double Result::mean_duration(const std::string& type) const {
-  const auto recs = records_of(type);
-  if (recs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const TaskRecord* r : recs) sum += r->duration();
-  return sum / static_cast<double>(recs.size());
-}
-
-double Result::mean_lambda(const std::string& type) const {
-  const auto recs = records_of(type);
-  if (recs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const TaskRecord* r : recs) sum += r->lambda_io();
-  return sum / static_cast<double>(recs.size());
-}
-
 json::Value Result::to_json() const {
   json::Object root;
   root.set("schema", "bbsim.run.v1");

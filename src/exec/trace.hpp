@@ -207,10 +207,6 @@ struct Result {
   /// (ExecutionConfig::critpath); null when the pass was off.
   json::Value critpath;
 
-  /// Mean observed duration of tasks of `type` (0 when none).
-  double mean_duration(const std::string& type) const;
-  /// Mean observed I/O fraction of tasks of `type` (paper's lambda_io).
-  double mean_lambda(const std::string& type) const;
   /// All records of a type, in name order.
   std::vector<const TaskRecord*> records_of(const std::string& type) const;
 

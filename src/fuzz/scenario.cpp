@@ -37,7 +37,6 @@ exec::ExecutionConfig Scenario::exec_config() const {
   cfg.bb_eviction = config.bb_eviction;
   cfg.stage_in_width = config.stage_in_width;
   cfg.force_cores = config.force_cores;
-  cfg.locality_pinning = config.locality_pinning;
   cfg.collect_trace = false;
   cfg.faults = resil::FaultSpec::parse(config.fault_spec);
   cfg.checkpoint = resil::CheckpointSpec::parse(config.checkpoint_spec);
@@ -53,7 +52,6 @@ oracle::RefConfig Scenario::ref_config() const {
   cfg.bb_eviction = config.bb_eviction;
   cfg.stage_in_width = config.stage_in_width;
   cfg.force_cores = config.force_cores;
-  cfg.locality_pinning = config.locality_pinning;
   return cfg;
 }
 
@@ -131,7 +129,6 @@ json::Value Scenario::to_json() const {
   cfg.set("bb_eviction", config.bb_eviction);
   cfg.set("stage_in_width", config.stage_in_width);
   cfg.set("force_cores", config.force_cores);
-  cfg.set("locality_pinning", config.locality_pinning);
   // Written only when armed so pre-resil corpus files stay byte-stable
   // through a load/save round trip.
   if (!config.fault_spec.empty()) cfg.set("faults", config.fault_spec);
@@ -208,7 +205,6 @@ Scenario scenario_from_json(const json::Value& doc) {
   sc.config.bb_eviction = cfg.get_bool("bb_eviction", false);
   sc.config.stage_in_width = static_cast<int>(cfg.get_int("stage_in_width", 1));
   sc.config.force_cores = static_cast<int>(cfg.get_int("force_cores", 0));
-  sc.config.locality_pinning = cfg.get_bool("locality_pinning", true);
   sc.config.fault_spec = cfg.get_string("faults", "");
   sc.config.checkpoint_spec = cfg.get_string("checkpoint", "");
   (void)exec::make_policy(sc.config.placement_spec);  // validate early
@@ -323,9 +319,9 @@ Scenario sample_scenario(util::Rng& rng) {
                               ? static_cast<int>(rng.uniform_int(
                                     1, std::min<std::int64_t>(4, max_host_cores)))
                               : 0;
-  // Unpinned restricted-BB runs with >1 host can legitimately dead-end on
-  // an unreadable replica; keep those scenarios feasible by construction.
-  sc.config.locality_pinning = restricted_bb || rng.chance(0.5);
+  // An unused draw, kept so that a seed still samples the scenarios that
+  // corpus files and CI campaigns were recorded with.
+  if (!restricted_bb) (void)rng.chance(0.5);
   return sc;
 }
 

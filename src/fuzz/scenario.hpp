@@ -31,7 +31,6 @@ struct ScenarioConfig {
   bool bb_eviction = false;
   int stage_in_width = 1;
   int force_cores = 0;
-  bool locality_pinning = true;
   /// Resilience specs in their CLI grammar (resil::FaultSpec::parse /
   /// resil::CheckpointSpec::parse). Empty (the default, and what every
   /// pre-resil corpus file deserializes to) = disabled. A scenario with

@@ -537,8 +537,6 @@ class RefSim {
     if (task.type == kStageInType) return 1;  // stage-in is always sequential
     int cores = task.requested_cores;
     if (config_.force_cores > 0) cores = config_.force_cores;
-    const auto it = config_.cores_by_type.find(task.type);
-    if (it != config_.cores_by_type.end()) cores = it->second;
     return std::max(1, cores);
   }
 
@@ -634,7 +632,7 @@ class RefSim {
     std::map<std::string, std::size_t> topo_index;
     for (std::size_t i = 0; i < topo_order_.size(); ++i) topo_index[topo_order_[i]] = i;
 
-    const bool pin = config_.locality_pinning && bb_restricted();
+    const bool pin = bb_restricted();
     std::vector<std::size_t> homes;
     if (pin) homes = exec::compute_home_hosts(workflow_, spec_, config_.pinning);
 

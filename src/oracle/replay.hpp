@@ -73,8 +73,6 @@ struct RefConfig {
   bool bb_eviction = false;
   int stage_in_width = 1;
   int force_cores = 0;
-  std::map<std::string, int> cores_by_type;
-  bool locality_pinning = true;
   exec::PinningConfig pinning;
 };
 

@@ -61,11 +61,6 @@ LinkSpec link_from_json(const Value& v) {
   return l;
 }
 
-Value number_or_unlimited(double x) {
-  if (x == kUnlimited) return Value("unlimited");
-  return Value(x);
-}
-
 }  // namespace
 
 PlatformSpec from_json(const Value& doc) {
@@ -116,51 +111,6 @@ PlatformSpec from_json(const Value& doc) {
 
 PlatformSpec load_platform(const std::string& path) {
   return from_json(json::parse_file(path));
-}
-
-Value to_json(const PlatformSpec& spec) {
-  json::Object root;
-  root.set("name", spec.name);
-
-  json::Array hosts;
-  for (const HostSpec& h : spec.hosts) {
-    json::Object o;
-    o.set("name", h.name);
-    o.set("cores", h.cores);
-    o.set("core_speed", h.core_speed);
-    o.set("nic_bw", number_or_unlimited(h.nic_bw));
-    hosts.push_back(Value(std::move(o)));
-  }
-  root.set("hosts", Value(std::move(hosts)));
-
-  json::Array storage;
-  for (const StorageSpec& s : spec.storage) {
-    json::Object o;
-    o.set("name", s.name);
-    o.set("kind", to_string(s.kind));
-    if (s.kind == StorageKind::SharedBB) o.set("mode", to_string(s.mode));
-    o.set("num_nodes", s.num_nodes);
-    json::Object disk;
-    disk.set("read_bw", s.disk.read_bw);
-    disk.set("write_bw", s.disk.write_bw);
-    disk.set("capacity", number_or_unlimited(s.disk.capacity));
-    o.set("disk", Value(std::move(disk)));
-    json::Object link;
-    link.set("bandwidth", s.link.bandwidth);
-    link.set("latency_ms", s.link.latency * 1e3);
-    o.set("link", Value(std::move(link)));
-    o.set("base_latency_ms", s.base_latency * 1e3);
-    o.set("stage_latency_ms", s.stage_latency * 1e3);
-    o.set("stream_bw", number_or_unlimited(s.stream_bw));
-    o.set("metadata_ops_per_sec", number_or_unlimited(s.metadata_ops_per_sec));
-    storage.push_back(Value(std::move(o)));
-  }
-  root.set("storage", Value(std::move(storage)));
-  return Value(std::move(root));
-}
-
-void save_platform(const std::string& path, const PlatformSpec& spec) {
-  json::write_file(path, to_json(spec));
 }
 
 }  // namespace bbsim::platform

@@ -34,10 +34,4 @@ PlatformSpec from_json(const json::Value& doc);
 /// Parse a platform from a file on disk.
 PlatformSpec load_platform(const std::string& path);
 
-/// Serialise to the schema above (numbers in base units for round-tripping).
-json::Value to_json(const PlatformSpec& spec);
-
-/// Write to a file, pretty-printed.
-void save_platform(const std::string& path, const PlatformSpec& spec);
-
 }  // namespace bbsim::platform

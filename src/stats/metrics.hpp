@@ -185,8 +185,6 @@ class MetricsRegistry {
   const Histogram* find_histogram(const std::string& name) const;
 
   std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t series_count() const { return series_.size(); }
   std::size_t histogram_count() const { return histograms_.size(); }
 
   /// Deterministic (name-sorted) export:

@@ -190,7 +190,6 @@ class StorageService {
   /// auditor checks the two agree at end of run (allocation/release
   /// balance).
   double replica_bytes() const;
-  std::size_t replica_count() const { return replicas_.size(); }
   /// Names of every file stored here, in name order. A snapshot: safe to
   /// erase_file() while iterating (the resil layer invalidates a crashed
   /// node's replicas this way).

@@ -291,14 +291,6 @@ TEST(Engine, ForceCoresOverride) {
   EXPECT_DOUBLE_EQ(sim.run().makespan, 4.0);  // 4e9 flops on 1 core
 }
 
-TEST(Engine, CoresByTypeOverride) {
-  wf::Workflow w = single_task(4e9, 1);
-  ExecutionConfig cfg;
-  cfg.cores_by_type["compute"] = 4;
-  Simulation sim(tiny(), w, cfg);
-  EXPECT_DOUBLE_EQ(sim.run().makespan, 1.0);
-}
-
 TEST(Engine, OversizedTaskRejected) {
   wf::Workflow w = single_task(1e9, 8);  // 8 cores > 4-core host
   EXPECT_THROW(Simulation(tiny(), w, {}).run(), util::ConfigError);

@@ -98,27 +98,6 @@ TEST(Spec, NodeLocalNormalisedToHostCount) {
   EXPECT_EQ(p.storage[0].num_nodes, 2);
 }
 
-TEST(Json, RoundTripPreservesSpec) {
-  PresetOptions opt;
-  opt.compute_nodes = 2;
-  opt.bb_mode = BBMode::Striped;
-  opt.bb_nodes = 3;
-  const PlatformSpec original = cori_platform(opt);
-  const PlatformSpec parsed = from_json(to_json(original));
-  EXPECT_EQ(parsed.name, original.name);
-  ASSERT_EQ(parsed.hosts.size(), original.hosts.size());
-  EXPECT_DOUBLE_EQ(parsed.hosts[0].core_speed, original.hosts[0].core_speed);
-  ASSERT_EQ(parsed.storage.size(), original.storage.size());
-  for (std::size_t i = 0; i < parsed.storage.size(); ++i) {
-    EXPECT_EQ(parsed.storage[i].kind, original.storage[i].kind);
-    EXPECT_EQ(parsed.storage[i].num_nodes, original.storage[i].num_nodes);
-    EXPECT_DOUBLE_EQ(parsed.storage[i].disk.read_bw, original.storage[i].disk.read_bw);
-    EXPECT_DOUBLE_EQ(parsed.storage[i].link.latency, original.storage[i].link.latency);
-  }
-  const StorageSpec& bb = parsed.storage[parsed.find_kind(StorageKind::SharedBB)];
-  EXPECT_EQ(bb.mode, BBMode::Striped);
-}
-
 TEST(Json, ParsesUnitStringsAndCounts) {
   const auto doc = json::parse(R"({
     "name": "mini",

@@ -2,7 +2,8 @@
 //
 // Generates a deterministic synthetic job stream under heavy burst-buffer
 // contention, runs every scheduling policy over it, and writes
-// BENCH_batch.json (schema bbsim.bench.batch.v1). Two kinds of numbers:
+// BENCH_batch.json (schema bbsim.bench.v1, bench "batch"). Two kinds of
+// numbers:
 //
 //   - jobs_per_second / seconds: wall-clock throughput. Hardware-sensitive;
 //     gated only against a same-machine baseline.
@@ -14,7 +15,6 @@
 //
 // Usage: bench_batch [--tiers 500,2k] [--out FILE]
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,17 +24,14 @@
 #include "batch/generator.hpp"
 #include "batch/report.hpp"
 #include "batch/scheduler.hpp"
+#include "bench_common.hpp"
 #include "json/json.hpp"
 
 namespace {
 
 using namespace bbsim;
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 struct Tier {
   std::string label;
@@ -163,45 +160,7 @@ json::Value run_tier(const Tier& tier) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string tiers_arg = "500,2k";
-  std::string out_path = "BENCH_batch.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiers" && i + 1 < argc) {
-      tiers_arg = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_batch [--tiers 500,2k] [--out FILE]\n");
-      return 1;
-    }
-  }
-
-  std::vector<Tier> tiers;
-  std::size_t pos = 0;
-  while (pos < tiers_arg.size()) {
-    const std::size_t comma = tiers_arg.find(',', pos);
-    const std::string label =
-        tiers_arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? tiers_arg.size() : comma + 1;
-    if (label == "500") {
-      tiers.push_back({label, 500});
-    } else if (label == "2k") {
-      tiers.push_back({label, 2000});
-    } else {
-      std::fprintf(stderr, "unknown tier '%s' (use 500, 2k)\n", label.c_str());
-      return 1;
-    }
-  }
-
-  json::Array tier_results;
-  for (const Tier& tier : tiers) {
-    tier_results.push_back(run_tier(tier));
-  }
-  json::Object root;
-  root.set("schema", std::string("bbsim.bench.batch.v1"));
-  root.set("tiers", json::Value(std::move(tier_results)));
-  json::write_file(out_path, json::Value(std::move(root)));
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::run_bench(argc, argv, "batch",
+                          std::vector<Tier>{{"500", 500}, {"2k", 2000}}, "500,2k",
+                          run_tier);
 }

@@ -2,9 +2,9 @@
 //
 // Runs the same SWarp configuration with the critpath recorder off and on,
 // back-to-back on the same machine, and writes BENCH_critpath.json (schema
-// bbsim.bench.critpath.v1). Three kinds of numbers:
+// bbsim.bench.v1, bench "critpath"). Three kinds of numbers:
 //
-//   - off_seconds / on_seconds: min wall-clock over the repetitions.
+//   - off_seconds / on_seconds: min wall-clock over kReps repetitions.
 //     Hardware-sensitive in absolute terms, but their ratio
 //     (overhead_ratio) is measured back-to-back on one machine, so CI
 //     gates it at <= 1.05 via tools/check_bench_regression.py.
@@ -15,17 +15,16 @@
 //     the makespan within 1e-9, and the baseline what-if replay
 //     reproduces it. Hardware-insensitive; always gated.
 //
-// Usage: bench_critpath [--tiers swarp-8,swarp-32] [--reps 9] [--out FILE]
+// Usage: bench_critpath [--tiers swarp-8,swarp-32] [--out FILE]
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "exec/engine.hpp"
 #include "exec/placement.hpp"
 #include "json/json.hpp"
@@ -35,12 +34,11 @@
 namespace {
 
 using namespace bbsim;
+using bench::Clock;
+using bench::seconds_since;
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+/// Off/on pairs timed per tier.
+constexpr int kReps = 9;
 
 struct Tier {
   std::string label;
@@ -65,14 +63,14 @@ struct WallPair {
   double on = 0.0;
 };
 
-/// Min wall over `reps` interleaved off/on pairs: alternating the two
+/// Min wall over kReps interleaved off/on pairs: alternating the two
 /// configurations inside one loop cancels thermal and scheduler drift,
 /// and min is robust to one-off noise spikes.
 WallPair min_wall_pair(const platform::PlatformSpec& platform,
-                       const wf::Workflow& workflow, int reps) {
+                       const wf::Workflow& workflow) {
   WallPair best{std::numeric_limits<double>::infinity(),
                 std::numeric_limits<double>::infinity()};
-  for (int i = 0; i < reps; ++i) {
+  for (int i = 0; i < kReps; ++i) {
     Clock::time_point t0 = Clock::now();
     run_once(platform, workflow, /*critpath=*/false);
     best.off = std::min(best.off, seconds_since(t0));
@@ -92,14 +90,14 @@ std::string dump_without_critpath(const exec::Result& r) {
   return json::Value(std::move(out)).dump(2);
 }
 
-json::Value run_tier(const Tier& tier, int reps) {
+json::Value run_tier(const Tier& tier) {
   const platform::PlatformSpec platform = platform::cori_platform();
   wf::SwarpConfig scfg;
   scfg.pipelines = tier.pipelines;
   const wf::Workflow workflow = wf::make_swarp(scfg);
 
   std::printf("tier %s: swarp x%d pipelines, %d repetitions per config\n",
-              tier.label.c_str(), tier.pipelines, reps);
+              tier.label.c_str(), tier.pipelines, kReps);
 
   // Correctness half first (also warms caches for the timing half).
   const exec::Result off = run_once(platform, workflow, /*critpath=*/false);
@@ -127,7 +125,7 @@ json::Value run_tier(const Tier& tier, int reps) {
                         std::abs(baseline - on.makespan) <= tol;
   }
 
-  const WallPair wall = min_wall_pair(platform, workflow, reps);
+  const WallPair wall = min_wall_pair(platform, workflow);
   const double off_seconds = wall.off;
   const double on_seconds = wall.on;
   const double ratio = off_seconds > 0.0 ? on_seconds / off_seconds : 0.0;
@@ -141,7 +139,7 @@ json::Value run_tier(const Tier& tier, int reps) {
   out.set("tier", tier.label);
   out.set("pipelines", static_cast<double>(tier.pipelines));
   out.set("tasks", static_cast<double>(on.tasks.size()));
-  out.set("reps", static_cast<double>(reps));
+  out.set("reps", kReps);
   out.set("makespan", on.makespan);
   out.set("off_seconds", off_seconds);
   out.set("on_seconds", on_seconds);
@@ -154,51 +152,7 @@ json::Value run_tier(const Tier& tier, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string tiers_arg = "swarp-8,swarp-32";
-  std::string out_path = "BENCH_critpath.json";
-  int reps = 9;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiers" && i + 1 < argc) {
-      tiers_arg = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max(1, std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_critpath [--tiers swarp-8,swarp-32] "
-                   "[--reps 9] [--out FILE]\n");
-      return 1;
-    }
-  }
-
-  std::vector<Tier> tiers;
-  std::size_t pos = 0;
-  while (pos < tiers_arg.size()) {
-    const std::size_t comma = tiers_arg.find(',', pos);
-    const std::string label =
-        tiers_arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? tiers_arg.size() : comma + 1;
-    if (label == "swarp-8") {
-      tiers.push_back({label, 8});
-    } else if (label == "swarp-32") {
-      tiers.push_back({label, 32});
-    } else {
-      std::fprintf(stderr, "unknown tier '%s' (use swarp-8, swarp-32)\n",
-                   label.c_str());
-      return 1;
-    }
-  }
-
-  json::Array tier_results;
-  for (const Tier& tier : tiers) {
-    tier_results.push_back(run_tier(tier, reps));
-  }
-  json::Object root;
-  root.set("schema", std::string("bbsim.bench.critpath.v1"));
-  root.set("tiers", json::Value(std::move(tier_results)));
-  json::write_file(out_path, json::Value(std::move(root)));
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::run_bench(argc, argv, "critpath",
+                          std::vector<Tier>{{"swarp-8", 8}, {"swarp-32", 32}},
+                          "swarp-8,swarp-32", run_tier);
 }

@@ -14,15 +14,14 @@
 //   * an engine-driven phase times end-to-end event dispatch through
 //     FlowManager + sim::Engine's event heap.
 //
-// Writes BENCH_flow_solver.json (schema bbsim.bench.flow_solver.v1) -- the
-// trajectory later PRs must not regress (tools/check_bench_regression.py).
+// Writes BENCH_flow_solver.json (schema bbsim.bench.v1, bench
+// "flow_solver") -- the trajectory tools/check_bench_regression.py gates.
 // The work counts (transfers, solves, engine flows and events) are exact
 // functions of the seeded input, and the regression check requires them to
 // equal the baseline on any hardware.
 //
 // Usage: bench_flow_solver [--tiers 10k,100k,1m] [--out FILE]
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "flow/manager.hpp"
 #include "flow/network.hpp"
 #include "json/json.hpp"
@@ -42,11 +42,8 @@
 namespace {
 
 using namespace bbsim;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 /// Relative disagreement between two rates; infinities must match exactly.
 double rel_diff(double a, double b) {
@@ -359,49 +356,8 @@ json::Value run_tier(const Tier& tier) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string tiers_arg = "10k,100k";
-  std::string out_path = "BENCH_flow_solver.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiers" && i + 1 < argc) {
-      tiers_arg = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_flow_solver [--tiers 10k,100k,1m] [--out FILE]\n");
-      return 1;
-    }
-  }
-
-  std::vector<Tier> tiers;
-  std::size_t pos = 0;
-  while (pos < tiers_arg.size()) {
-    const std::size_t comma = tiers_arg.find(',', pos);
-    const std::string label =
-        tiers_arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? tiers_arg.size() : comma + 1;
-    if (label == "10k") {
-      tiers.push_back({label, 10000});
-    } else if (label == "100k") {
-      tiers.push_back({label, 100000});
-    } else if (label == "1m" || label == "1M") {
-      tiers.push_back({label, 1000000});
-    } else {
-      std::fprintf(stderr, "unknown tier '%s' (use 10k, 100k, 1m)\n",
-                   label.c_str());
-      return 1;
-    }
-  }
-
-  json::Array tier_results;
-  for (const Tier& tier : tiers) {
-    tier_results.push_back(run_tier(tier));
-  }
-  json::Object root;
-  root.set("schema", std::string("bbsim.bench.flow_solver.v1"));
-  root.set("tiers", json::Value(std::move(tier_results)));
-  json::write_file(out_path, json::Value(std::move(root)));
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::run_bench(argc, argv, "flow_solver",
+                          std::vector<Tier>{{"10k", 10000}, {"100k", 100000},
+                                            {"1m", 1000000}},
+                          "10k,100k", run_tier);
 }

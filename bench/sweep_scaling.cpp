@@ -1,15 +1,21 @@
 // Sweep scaling -- serial vs. parallel execution of the SWarp validation
-// sweep (the Figure 10 campaign: systems x staged fractions x repetitions).
+// sweep (the Figure 10 campaign: 3 systems x 5 staged fractions x 5
+// repetitions).
 //
 // Every simulation in the campaign is independent, so sweep::SweepRunner
 // should scale with worker count while producing a byte-identical report.
-// This bench measures the wall time of the same sweep at 1/2/4/8 workers,
-// verifies report identity, and writes BENCH_sweep.json.
+// Each tier runs the whole sweep at one worker count, times it, and checks
+// that its report is byte-identical to a serial reference run
+// (report_identical, the gate tools/check_bench_regression.py applies).
+// Writes BENCH_sweep.json (schema bbsim.bench.v1, bench "sweep").
 //
 // Speedups are bounded by the physical core count: on an N-core machine
-// expect ~min(jobs, N)x; the JSON records hardware_threads so results can
+// expect ~min(jobs, N)x; each tier records hardware_threads so results can
 // be interpreted.
-#include <chrono>
+//
+// Usage: bench_sweep_scaling [--tiers 1,2,4,8] [--out FILE]
+#include <optional>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "json/json.hpp"
@@ -45,9 +51,14 @@ std::vector<sweep::RunSpec> validation_sweep(const wf::Workflow& workflow,
   return specs;
 }
 
+struct Tier {
+  std::string label;
+  int jobs = 0;
+};
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   bench::banner("Sweep scaling", "engine extension, no paper counterpart",
                 "Wall time of the SWarp validation sweep (Fig. 10 campaign) at "
                 "1/2/4/8 workers; parallel reports must be byte-identical to "
@@ -65,51 +76,35 @@ int main() {
   std::printf("campaign: %zu independent simulations, %d hardware threads\n\n",
               specs.size(), sweep::effective_jobs(0));
 
-  analysis::Table t({"jobs", "wall (s)", "speedup", "report"});
-  json::Array measurements;
-  double serial_wall = 0.0;
-  std::string serial_report;
-  bool all_identical = true;
-  for (const int jobs : {1, 2, 4, 8}) {
+  // Wall time of the sweep at `jobs` workers, and its report without
+  // timings, which must not depend on `jobs`.
+  const auto run_sweep = [&specs](int jobs) {
     sweep::SweepOptions sopt;
     sopt.jobs = jobs;
-    const sweep::SweepRunner runner(sopt);
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<sweep::RunOutcome> outcomes = runner.run(specs);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    // Timings excluded: the deterministic report must not depend on `jobs`.
-    const std::string report =
-        sweep::sweep_report("swarp-validation", outcomes, false).dump();
-    if (jobs == 1) {
-      serial_wall = wall;
-      serial_report = report;
-    }
-    const bool identical = report == serial_report;
-    all_identical = all_identical && identical;
-    const double speedup = wall > 0 ? serial_wall / wall : 0.0;
-    t.add_row({std::to_string(jobs), util::format("%.3f", wall),
-               util::format("%.2fx", speedup), identical ? "identical" : "DIVERGED"});
-    json::Object m;
-    m.set("jobs", jobs);
-    m.set("wall_seconds", wall);
-    m.set("speedup_vs_serial", speedup);
-    m.set("report_identical", identical);
-    measurements.push_back(json::Value(std::move(m)));
-  }
-  t.print();
-  bench::save_csv(t, "sweep_scaling.csv");
+    const bench::Clock::time_point t0 = bench::Clock::now();
+    const std::vector<sweep::RunOutcome> outcomes = sweep::SweepRunner(sopt).run(specs);
+    const double wall = bench::seconds_since(t0);
+    return std::pair{wall, sweep::sweep_report("swarp-validation", outcomes, false).dump()};
+  };
+  std::optional<std::pair<double, std::string>> serial;  // the reference run
 
-  json::Object doc;
-  doc.set("schema", "bbsim.bench.sweep.v1");
-  doc.set("campaign", "swarp-validation (Fig. 10: 3 systems x 5 fractions x 5 reps)");
-  doc.set("runs", specs.size());
-  doc.set("hardware_threads", sweep::effective_jobs(0));
-  doc.set("reports_identical", all_identical);
-  doc.set("measurements", json::Value(std::move(measurements)));
-  json::write_file("BENCH_sweep.json", json::Value(std::move(doc)));
-  std::printf("[json] wrote BENCH_sweep.json\n");
-  std::printf("\nExpected: near-linear speedup up to the physical core count; "
-              "identical reports at every worker count.\n");
-  return !all_identical;
+  return bench::run_bench(
+      argc, argv, "sweep", std::vector<Tier>{{"1", 1}, {"2", 2}, {"4", 4}, {"8", 8}},
+      "1,2,4,8", [&](const Tier& tier) {
+        if (!serial) serial = run_sweep(1);
+        const auto [wall, report] = run_sweep(tier.jobs);
+        const bool identical = report == serial->second;
+        const double speedup = wall > 0 ? serial->first / wall : 0.0;
+        std::printf("jobs %d: %.3fs, %.2fx vs serial, report %s\n", tier.jobs, wall,
+                    speedup, identical ? "identical" : "DIVERGED");
+        json::Object m;
+        m.set("tier", tier.label);
+        m.set("jobs", tier.jobs);
+        m.set("runs", specs.size());
+        m.set("hardware_threads", sweep::effective_jobs(0));
+        m.set("wall_seconds", wall);
+        m.set("speedup_vs_serial", speedup);
+        m.set("report_identical", identical);
+        return json::Value(std::move(m));
+      });
 }

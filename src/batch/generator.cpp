@@ -26,11 +26,14 @@ ArrivalProcess arrival_process_from_string(const std::string& text) {
 JobStream make_stream(const StreamConfig& config) {
   if (config.job_count == 0) throw ConfigError("stream generator: job_count must be >= 1");
   if (config.machine_nodes < 1) throw ConfigError("stream generator: machine_nodes must be >= 1");
-  if (config.machine_bb_bytes <= 0) {
+  // Written so that NaN fails every check.
+  if (!(config.machine_bb_bytes > 0)) {
     throw ConfigError("stream generator: machine_bb_bytes must be positive");
   }
-  if (config.load <= 0) throw ConfigError("stream generator: load must be positive");
-  if (config.estimate_factor < 1.0) {
+  if (!(config.load > 0 && std::isfinite(config.load))) {
+    throw ConfigError("stream generator: load must be positive and finite");
+  }
+  if (!(config.estimate_factor >= 1.0)) {
     throw ConfigError("stream generator: estimate_factor must be >= 1");
   }
   if (config.max_job_nodes < 1 || config.max_job_nodes > config.machine_nodes) {

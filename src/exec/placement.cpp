@@ -27,7 +27,7 @@ FractionPolicy::FractionPolicy(double input_fraction, Tier intermediate_tier,
     : fraction_(input_fraction),
       intermediate_tier_(intermediate_tier),
       output_tier_(output_tier) {
-  if (fraction_ < 0.0 || fraction_ > 1.0) {
+  if (!(fraction_ >= 0.0 && fraction_ <= 1.0)) {  // NaN fails too
     throw util::ConfigError("FractionPolicy: fraction must be in [0, 1]");
   }
 }

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -55,7 +56,7 @@ double to_number(const std::string& text, const std::string& what) {
   try {
     std::size_t used = 0;
     const double value = std::stod(text, &used);
-    if (used == text.size()) return value;
+    if (used == text.size() && std::isfinite(value)) return value;
   } catch (const std::exception&) {
     // std::invalid_argument or std::out_of_range: rejected below
   }

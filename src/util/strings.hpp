@@ -28,9 +28,10 @@ bool ends_with(const std::string& text, const std::string& suffix);
 /// Lower-case an ASCII string.
 std::string to_lower(std::string text);
 
-/// Parse all of `text` as a number (std::stod syntax). Anything else -- an
-/// empty string, trailing characters ("1.5x"), a value out of range --
-/// throws a ConfigError naming `what`, the flag or key the text came from.
+/// Parse all of `text` as a finite number (std::stod syntax). Anything else
+/// -- an empty string, trailing characters ("1.5x"), a value out of range,
+/// "nan" or "inf" -- throws a ConfigError naming `what`, the flag or key the
+/// text came from.
 double to_number(const std::string& text, const std::string& what);
 
 /// Integer form of to_number(): all of `text` must be a base-10 Int, so a

@@ -101,6 +101,7 @@ TEST(CliPolicy, SpecsResolve) {
   EXPECT_THROW(make_policy("greedy"), ConfigError);
   EXPECT_THROW(make_policy("fraction:0.5x"), ConfigError);
   EXPECT_THROW(make_policy("fraction:abc"), ConfigError);
+  EXPECT_THROW(make_policy("fraction:nan"), ConfigError);
 }
 
 TEST(CliResolve, PlatformPresets) {

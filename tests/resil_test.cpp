@@ -57,6 +57,15 @@ TEST(FaultSpec, BadNumberThrows) {
   EXPECT_THROW(FaultSpec::parse("node_mtbf"), util::ConfigError);
   EXPECT_THROW(FaultSpec::parse("seed=7x"), util::ConfigError);
   EXPECT_THROW(FaultSpec::parse("seed=1.5"), util::ConfigError);
+  // NaN and infinity are bad numbers, whatever range a key allows.
+  for (const char* spec : {"node_mtbf=nan", "node_mtbf=100,horizon=inf"}) {
+    try {
+      (void)FaultSpec::parse(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad number"), std::string::npos) << e.what();
+    }
+  }
   try {
     (void)FaultSpec::parse("node_mtbf=100,seed=-1");  // would wrap to 2^64-1
     ADD_FAILURE() << "seed=-1 was accepted";

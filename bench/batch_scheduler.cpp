@@ -12,6 +12,9 @@
 //     under BB contention" (must stay >= 1); the FNV-1a hash over every
 //     (job id, start time) pair pins the schedules bit-for-bit, so any
 //     change to scheduler behaviour shows up as a hash mismatch in CI.
+//   - profile_segments_scanned per policy: the exact work count of the
+//     availability profile, so a change to how much of it conservative and
+//     plan-based backfilling scan shows up in CI, independent of hardware.
 //
 // Usage: bench_batch [--tiers 500,2k] [--out FILE]
 
@@ -133,6 +136,8 @@ json::Value run_tier(const Tier& tier) {
     entry.set("backfilled_jobs",
               static_cast<double>(summary.backfilled_jobs));
     entry.set("schedule_hash", hex64(hash));
+    entry.set("profile_segments_scanned",
+              static_cast<double>(result.profile_segments_scanned));
     policies.set(batch::to_string(policy), json::Value(std::move(entry)));
   }
 

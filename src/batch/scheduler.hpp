@@ -165,6 +165,10 @@ struct FleetResult {
   double queue_job_seconds = 0.0;  ///< integral of queue depth over time
   std::size_t backfilled_jobs = 0;
   std::size_t killed_jobs = 0;
+  /// Work count of conservative and plan-based backfilling: availability-
+  /// profile segments whose capacity a placement compared, over the run.
+  /// Deterministic; zero for fcfs and easy. Not part of bbsim.batch.v1.
+  std::size_t profile_segments_scanned = 0;
 
   // Node-outage accounting (all zero unless SchedulerConfig::faults enables
   // the outage process).

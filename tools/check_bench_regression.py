@@ -47,6 +47,7 @@ GATES = {
     "batch": [
         ("schedule_hash", "equal", None, "both"),
         ("policies.*.schedule_hash", "equal", None, "both"),
+        ("policies.*.profile_segments_scanned", "equal", None, "both"),
         # EASY must keep beating FCFS on mean bounded slowdown.
         ("fcfs_over_easy_slowdown", "min", (1.0, 0.5), "both"),
         ("jobs_per_second", "min", THROUGHPUT_FLOOR, "absolute"),

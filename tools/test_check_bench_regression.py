@@ -38,6 +38,10 @@ PAST = [
      ABSOLUTE),
     ("batch", "500", "schedule_hash", lambda v: "0x0", BOTH),
     ("batch", "2k", "policies.easy.schedule_hash", lambda v: "0x0", BOTH),
+    ("batch", "2k", "policies.conservative.profile_segments_scanned",
+     lambda v: v + 1, BOTH),
+    ("batch", "500", "policies.plan.profile_segments_scanned",
+     lambda v: v - 1, BOTH),
     ("batch", "500", "fcfs_over_easy_slowdown", lambda v: v * 0.499, BOTH),
     ("batch", "2k", "jobs_per_second", lambda v: v * 0.799, ABSOLUTE),
     ("critpath", "swarp-8", "off_bitwise_identical", lambda v: False, BOTH),

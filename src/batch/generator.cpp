@@ -9,6 +9,16 @@ namespace bbsim::batch {
 
 using util::ConfigError;
 
+// Runtime distribution (seconds): log-normal, truncated to the range.
+constexpr double kRuntimeMean = 600.0;
+constexpr double kRuntimeSigma = 1.2;
+constexpr double kRuntimeMin = 30.0;
+constexpr double kRuntimeMax = 14400.0;
+// BB demand of the jobs that are not hogs: none, or a modest log-normal.
+constexpr double kBbNoneFraction = 0.3;  ///< jobs with no BB reservation at all
+constexpr double kBbMeanBytes = 400e9;   ///< log-normal mean of the modest majority
+constexpr double kBbSigma = 1.0;
+
 const char* to_string(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::Poisson: return "poisson";
@@ -36,6 +46,9 @@ JobStream make_stream(const StreamConfig& config) {
   if (!(config.estimate_factor >= 1.0)) {
     throw ConfigError("stream generator: estimate_factor must be >= 1");
   }
+  if (config.arrivals == ArrivalProcess::Weibull && !(config.weibull_shape > 0)) {
+    throw ConfigError("stream generator: weibull_shape must be positive");
+  }
   if (config.max_job_nodes < 1 || config.max_job_nodes > config.machine_nodes) {
     throw ConfigError("stream generator: max_job_nodes must be in [1, machine_nodes]");
   }
@@ -62,22 +75,20 @@ JobStream make_stream(const StreamConfig& config) {
     job.name = "job" + std::to_string(i);
     job.nodes = 1 << size_rng.uniform_int(0, max_log2);
     job.walltime_actual = std::clamp(
-        size_rng.lognormal_mean(config.runtime_mean, config.runtime_sigma),
-        config.runtime_min, config.runtime_max);
+        size_rng.lognormal_mean(kRuntimeMean, kRuntimeSigma), kRuntimeMin, kRuntimeMax);
     job.walltime_estimate =
         job.walltime_actual * size_rng.uniform(1.0, config.estimate_factor);
 
     // BB demand: none / modest log-normal / hog slice of the machine.
-    if (bb_rng.chance(config.bb_none_fraction)) {
+    if (bb_rng.chance(kBbNoneFraction)) {
       job.bb_bytes = 0.0;
     } else if (bb_rng.chance(config.bb_hog_fraction)) {
       job.bb_bytes = std::min(
           config.machine_bb_bytes,
           bb_rng.lognormal_mean(config.bb_hog_share * config.machine_bb_bytes, 0.3));
     } else {
-      job.bb_bytes =
-          std::min(config.machine_bb_bytes,
-                   bb_rng.lognormal_mean(config.bb_mean_bytes, config.bb_sigma));
+      job.bb_bytes = std::min(config.machine_bb_bytes,
+                              bb_rng.lognormal_mean(kBbMeanBytes, kBbSigma));
     }
 
     total_node_seconds += static_cast<double>(job.nodes) * job.walltime_actual;

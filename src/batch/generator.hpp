@@ -46,11 +46,6 @@ struct StreamConfig {
   ArrivalProcess arrivals = ArrivalProcess::Poisson;
   double weibull_shape = 0.6;  ///< gap shape when arrivals == Weibull
 
-  // Runtime distribution (seconds): log-normal, truncated to the range.
-  double runtime_mean = 600.0;
-  double runtime_sigma = 1.2;
-  double runtime_min = 30.0;
-  double runtime_max = 14400.0;
   /// Estimates overshoot: estimate = actual x uniform[1, estimate_factor].
   /// 1.0 gives exact estimates (the property-test regime).
   double estimate_factor = 3.0;
@@ -58,10 +53,7 @@ struct StreamConfig {
   /// Node counts: 2^uniform_int[0, log2(max_job_nodes)] -- log2-heavy.
   int max_job_nodes = 16;
 
-  // Burst-buffer demand mix.
-  double bb_none_fraction = 0.3;  ///< jobs with no BB reservation at all
-  double bb_mean_bytes = 400e9;   ///< log-normal mean of the modest majority
-  double bb_sigma = 1.0;
+  // Burst-buffer hogs (the rest of the demand mix is fixed in generator.cpp).
   double bb_hog_fraction = 0.1;   ///< jobs asking for a large slice...
   double bb_hog_share = 0.5;      ///< ...this fraction of machine BB, mean
 
@@ -69,8 +61,8 @@ struct StreamConfig {
 };
 
 /// Generate the stream. Throws util::ConfigError on nonsensical knobs
-/// (zero jobs, non-positive load/machine). The result is validated against
-/// the configured machine and sorted by (submit, id).
+/// (zero jobs, non-positive load/machine/Weibull shape). The result is
+/// validated against the configured machine and sorted by (submit, id).
 JobStream make_stream(const StreamConfig& config);
 
 }  // namespace bbsim::batch

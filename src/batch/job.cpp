@@ -1,6 +1,7 @@
 #include "batch/job.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -63,6 +64,15 @@ void validate_stream(JobStream& stream, int machine_nodes, double machine_bb_byt
     if (machine_bb_bytes > 0 && job.bb_bytes > machine_bb_bytes) {
       throw ConfigError(who + ": BB request exceeds the machine's capacity");
     }
+    // NaN and infinity pass the range checks above; they break the
+    // scheduler's arithmetic and the report's serialisation.
+    const auto require_finite = [&who](const char* field, double value) {
+      if (!std::isfinite(value)) throw ConfigError(who + ": " + field + " must be finite");
+    };
+    require_finite("submit", job.submit);
+    require_finite("walltime_estimate", job.walltime_estimate);
+    require_finite("walltime_actual", job.walltime_actual);
+    require_finite("bb_bytes", job.bb_bytes);
     ids.push_back(job.id);
   }
   std::sort(ids.begin(), ids.end());

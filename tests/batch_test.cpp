@@ -170,6 +170,16 @@ TEST(BatchJob, ValidateStreamRejectsBrokenJobs) {
     EXPECT_THROW(batch::validate_stream(s, 4, /*machine_bb_bytes=*/100.0),
                  ConfigError);
   }
+  // NaN or infinity in any time or size field.
+  for (double Job::*field :
+       {&Job::submit, &Job::walltime_estimate, &Job::walltime_actual, &Job::bb_bytes}) {
+    for (const double bad : {std::nan(""), batch::kInf}) {
+      JobStream s;
+      s.jobs = {make_job(0, 0, 1, 10, 10, 0)};
+      s.jobs[0].*field = bad;
+      EXPECT_THROW(batch::validate_stream(s), ConfigError) << bad;
+    }
+  }
 }
 
 TEST(BatchJob, ValidateStreamSortsBySubmitThenId) {
@@ -232,6 +242,17 @@ TEST(BatchGenerator, RejectsNonsense) {
   cfg.load = std::nan("");
   EXPECT_THROW(batch::make_stream(cfg), ConfigError);
   cfg.load = batch::kInf;
+  EXPECT_THROW(batch::make_stream(cfg), ConfigError);
+  // A bad Weibull shape is bad input, not a broken invariant.
+  cfg = batch::StreamConfig{};
+  cfg.arrivals = batch::ArrivalProcess::Weibull;
+  for (const double shape : {0.0, -1.0}) {
+    cfg.weibull_shape = shape;
+    EXPECT_THROW(batch::make_stream(cfg), ConfigError) << shape;
+  }
+  // Estimates that overflow to infinity are rejected before any policy runs.
+  cfg = batch::StreamConfig{};
+  cfg.estimate_factor = 1e308;
   EXPECT_THROW(batch::make_stream(cfg), ConfigError);
 }
 

@@ -29,7 +29,7 @@ int main() {
       exec::ExecutionConfig cfg;
       cfg.placement =
           std::make_shared<exec::FractionPolicy>(fraction, exec::Tier::BurstBuffer);
-      const auto results = tb.run_repetitions(workflow, cfg, fraction);
+      const auto results = tb.run_repetitions(workflow, cfg);
       const auto stats = testbed::Testbed::summarize(results);
       s.add(fraction * 100.0, stats.stage_in.mean, stats.stage_in.stddev);
     }

@@ -32,7 +32,7 @@ int main() {
         for (const double fraction : fractions) {
           exec::ExecutionConfig cfg;
           cfg.placement = std::make_shared<exec::FractionPolicy>(fraction, tier);
-          const auto results = tb.run_repetitions(workflow, cfg, fraction);
+          const auto results = tb.run_repetitions(workflow, cfg);
           const auto stats = testbed::Testbed::summarize(results);
           const auto& d = stats.duration_by_type.at(task_type);
           s.add(fraction * 100.0, d.mean, d.stddev);

@@ -31,7 +31,7 @@ int main() {
         const wf::Workflow workflow = wf::make_swarp(scfg);
         exec::ExecutionConfig cfg;
         cfg.placement = exec::all_bb_policy();
-        const auto results = tb.run_repetitions(workflow, cfg, 1.0);
+        const auto results = tb.run_repetitions(workflow, cfg);
         const auto stats = testbed::Testbed::summarize(results);
         const auto& d = stats.duration_by_type.at(task_type);
         s.add(cores, d.mean, d.stddev);

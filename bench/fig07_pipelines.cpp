@@ -33,7 +33,7 @@ int main() {
         const wf::Workflow workflow = wf::make_swarp(scfg);
         exec::ExecutionConfig cfg;
         cfg.placement = exec::all_bb_policy();
-        const auto results = tb.run_repetitions(workflow, cfg, 1.0);
+        const auto results = tb.run_repetitions(workflow, cfg);
         const auto stats = testbed::Testbed::summarize(results);
         if (std::string(task_type) == "stage_in") {
           s.add(pipelines, stats.stage_in.mean, stats.stage_in.stddev);

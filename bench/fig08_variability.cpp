@@ -33,7 +33,7 @@ int main() {
       exec::ExecutionConfig cfg;
       cfg.placement = exec::all_bb_policy();
       cfg.collect_trace = false;
-      const auto results = tb.run_repetitions(workflow, cfg, 1.0);
+      const auto results = tb.run_repetitions(workflow, cfg);
 
       std::vector<double> durations;
       for (const exec::Result& r : results) {

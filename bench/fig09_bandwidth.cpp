@@ -27,7 +27,7 @@ int main() {
     exec::ExecutionConfig cfg;
     cfg.placement = exec::all_bb_policy();
     cfg.collect_trace = false;
-    const auto results = tb.run_repetitions(workflow, cfg, 1.0);
+    const auto results = tb.run_repetitions(workflow, cfg);
 
     // Application-perceived bandwidth: bytes a task moved divided by the
     // wall time it spent in I/O (includes metadata stalls and latency --

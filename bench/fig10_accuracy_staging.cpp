@@ -41,7 +41,7 @@ int main() {
     exec::ExecutionConfig ref_cfg;
     ref_cfg.placement = exec::all_pfs_policy();
     const auto observations =
-        testbed::Testbed::observations(tb_calib.run_repetitions(workflow, ref_cfg, 0.0));
+        testbed::Testbed::observations(tb_calib.run_repetitions(workflow, ref_cfg));
 
     analysis::Series measured, simulated;
     measured.label = "measured";
@@ -52,7 +52,7 @@ int main() {
       exec::ExecutionConfig cfg;
       cfg.placement =
           std::make_shared<exec::FractionPolicy>(fraction, exec::Tier::BurstBuffer);
-      const auto results = tb.run_repetitions(workflow, cfg, fraction);
+      const auto results = tb.run_repetitions(workflow, cfg);
       // The figure plots the pipeline span; the stage-in phase (whose cost
       // is Figure 4's experiment) is excluded on both sides.
       std::vector<double> spans;

@@ -36,7 +36,7 @@ int main() {
     exec::ExecutionConfig ref_cfg;
     ref_cfg.placement = exec::all_pfs_policy();
     const auto observations = testbed::Testbed::observations(
-        tb_calib.run_repetitions(ref_workflow, ref_cfg, 0.0));
+        tb_calib.run_repetitions(ref_workflow, ref_cfg));
 
     analysis::Series measured, simulated;
     measured.label = "measured";
@@ -53,7 +53,7 @@ int main() {
       cfg.collect_trace = false;
       // Stage-ins overlap the other instances' pipelines here, so the
       // turnaround (makespan) is the quantity compared on both sides.
-      const auto results = tb.run_repetitions(workflow, cfg, 1.0);
+      const auto results = tb.run_repetitions(workflow, cfg);
       std::vector<double> makespans;
       for (const exec::Result& r : results) makespans.push_back(r.makespan);
       const double measured_mean = analysis::describe(makespans).mean;

@@ -42,8 +42,7 @@ std::vector<sweep::RunSpec> validation_sweep(const wf::Workflow& workflow,
               cfg.placement = std::make_shared<exec::FractionPolicy>(
                   fraction, exec::Tier::BurstBuffer);
               cfg.collect_trace = false;
-              return tb.run_once(workflow, cfg,
-                                 static_cast<unsigned long long>(rep), fraction);
+              return tb.run_once(workflow, cfg, static_cast<unsigned long long>(rep));
             }});
       }
     }

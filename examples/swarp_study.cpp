@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
               cfg.placement = std::make_shared<exec::FractionPolicy>(
                   fraction, exec::Tier::BurstBuffer);
               cfg.collect_trace = false;
-              return tb.run_once(workflow, cfg,
-                                 static_cast<unsigned long long>(rep), fraction);
+              return tb.run_once(workflow, cfg, static_cast<unsigned long long>(rep));
             }});
       }
     }

@@ -183,30 +183,43 @@ batch::StreamConfig stream_config_from(const BatchCliOptions& options) {
   return cfg;
 }
 
+FleetSetup fleet_setup(const BatchCliOptions& options) {
+  FleetSetup setup;
+  setup.machine.nodes = options.nodes;
+  setup.machine.bb_bytes = options.bb_capacity;
+  setup.machine.bb_granule = options.bb_granule;
+  if (setup.machine.nodes <= 0) throw ConfigError("--nodes must be positive");
+  if (setup.machine.bb_bytes < 0) throw ConfigError("--bb-capacity must be >= 0");
+  if (setup.machine.bb_granule < 0) throw ConfigError("--bb-granule must be >= 0");
+
+  if (!options.jobs_path.empty()) {
+    setup.stream = batch::load_jobs_file(options.jobs_path);
+    batch::validate_stream(setup.stream, setup.machine.nodes, setup.machine.bb_bytes);
+  } else {
+    setup.stream = batch::make_stream(stream_config_from(options));
+  }
+  setup.payloads_resolved = batch::resolve_payloads(setup.stream);
+
+  setup.config.tau = options.tau;
+  setup.config.collect_metrics = options.metrics;
+  setup.config.collect_timeline = !options.timeline_path.empty();
+  setup.config.audit = options.audit;
+  setup.config.faults = resil::FaultSpec::parse(options.faults);
+  return setup;
+}
+
 int run_batch_cli(const BatchCliOptions& options) {
   if (options.help) {
     std::fputs(batch_usage().c_str(), stdout);
     return 0;
   }
 
-  batch::MachineSpec machine;
-  machine.nodes = options.nodes;
-  machine.bb_bytes = options.bb_capacity;
-  machine.bb_granule = options.bb_granule;
-  if (machine.nodes <= 0) throw ConfigError("--nodes must be positive");
-  if (machine.bb_bytes < 0) throw ConfigError("--bb-capacity must be >= 0");
-  if (machine.bb_granule < 0) throw ConfigError("--bb-granule must be >= 0");
-
-  batch::JobStream stream;
-  if (!options.jobs_path.empty()) {
-    stream = batch::load_jobs_file(options.jobs_path);
-    batch::validate_stream(stream, machine.nodes, machine.bb_bytes);
-  } else {
-    stream = batch::make_stream(stream_config_from(options));
-  }
-  const std::size_t resolved = batch::resolve_payloads(stream);
-  if (resolved > 0 && !options.quiet) {
-    std::fprintf(stderr, "[batch] resolved %zu workflow payload(s)\n", resolved);
+  FleetSetup setup = fleet_setup(options);
+  const batch::MachineSpec& machine = setup.machine;
+  const batch::JobStream& stream = setup.stream;
+  if (setup.payloads_resolved > 0 && !options.quiet) {
+    std::fprintf(stderr, "[batch] resolved %zu workflow payload(s)\n",
+                 setup.payloads_resolved);
   }
   if (!options.jobs_out.empty()) {
     json::write_file(options.jobs_out, batch::stream_to_json(stream));
@@ -220,19 +233,12 @@ int run_batch_cli(const BatchCliOptions& options) {
     throw ConfigError("--timeline-out needs a single policy (not --policy all)");
   }
 
-  batch::SchedulerConfig cfg;
-  cfg.tau = options.tau;
-  cfg.collect_metrics = options.metrics;
-  cfg.collect_timeline = !options.timeline_path.empty();
-  cfg.audit = options.audit;
-  cfg.faults = resil::FaultSpec::parse(options.faults);
-
   std::vector<batch::FleetResult> runs;
   runs.reserve(policies.size());
   std::size_t violations = 0;
   for (const batch::Policy policy : policies) {
-    cfg.policy = policy;
-    batch::FleetResult r = batch::run_scheduler(machine, stream, cfg);
+    setup.config.policy = policy;
+    batch::FleetResult r = batch::run_scheduler(machine, stream, setup.config);
     violations += r.audit_violations;
     if (!options.timeline_path.empty() && r.timeline != nullptr) {
       json::write_file(options.timeline_path, r.timeline->to_perfetto());

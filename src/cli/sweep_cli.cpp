@@ -4,13 +4,10 @@
 #include <filesystem>
 #include <set>
 
-#include "batch/payload.hpp"
 #include "batch/report.hpp"
 #include "cli/batch_cli.hpp"
 #include "cli/runner.hpp"
-#include "exec/placement.hpp"
 #include "sweep/report.hpp"
-#include "testbed/testbed.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workflow/clustering.hpp"
@@ -123,27 +120,6 @@ bool wants_timeline(const json::Object& settings) {
   return flag != nullptr && flag->is_bool() && flag->as_bool();
 }
 
-/// Translate one expanded run's settings into a bbsim_run argv and parse
-/// it with parse_cli -- the sweep-spec schema *is* the bbsim_run flag set.
-CliOptions options_from_settings(const json::Object& settings) {
-  std::vector<std::string> argv;
-  for (const auto& [key, value] : settings) {
-    if (key == "metrics") continue;   // sweep-level switch, handled below
-    if (key == "timeline") continue;  // per-run switch, handled by the caller
-    if (forbidden_keys().count(key) > 0) {
-      throw ConfigError("sweep spec: '" + key + "' is not allowed inside a sweep" +
-                        (key == "reps" ? " (use top-level \"repetitions\")" : ""));
-    }
-    if (value.is_bool()) {
-      if (value.as_bool()) argv.push_back("--" + key);
-    } else {
-      argv.push_back("--" + key);
-      argv.push_back(sweep::settings_value_to_string(value));
-    }
-  }
-  return parse_cli(argv);
-}
-
 /// True when this run dispatches to the batch fleet simulator instead of a
 /// single-workflow bbsim_run ("tool": "batch" in the spec's base or on an
 /// axis). Only "batch" is recognised; other values are an error.
@@ -166,18 +142,19 @@ const std::set<std::string>& batch_forbidden_keys() {
   return keys;
 }
 
-/// Translate one batch run's settings into a bbsim_batch argv and parse it
-/// with parse_batch_cli -- the batch sweep schema *is* the bbsim_batch flag
-/// set, minus the per-run file outputs.
-BatchCliOptions batch_options_from_settings(const json::Object& settings) {
+/// Translate one expanded run's settings into the argv of the tool that
+/// runs it -- the sweep-spec schema *is* that tool's flag set, minus the
+/// `forbidden` flags. `where` names the kind of sweep in the error.
+std::vector<std::string> settings_argv(const json::Object& settings,
+                                       const std::set<std::string>& forbidden,
+                                       const std::string& where) {
   std::vector<std::string> argv;
   for (const auto& [key, value] : settings) {
-    if (key == "tool") continue;      // the dispatch switch itself
-    if (key == "metrics") continue;   // sweep-level switch, handled below
-    if (key == "timeline") continue;  // per-run switch, handled by the caller
-    if (batch_forbidden_keys().count(key) > 0) {
-      throw ConfigError("sweep spec: '" + key +
-                        "' is not allowed inside a batch sweep");
+    // The dispatch switch and the sweep's own switches, handled by the caller.
+    if (key == "tool" || key == "metrics" || key == "timeline") continue;
+    if (forbidden.count(key) > 0) {
+      throw ConfigError("sweep spec: '" + key + "' is not allowed inside " + where +
+                        (key == "reps" ? " (use top-level \"repetitions\")" : ""));
     }
     if (value.is_bool()) {
       if (value.as_bool()) argv.push_back("--" + key);
@@ -186,7 +163,7 @@ BatchCliOptions batch_options_from_settings(const json::Object& settings) {
       argv.push_back(sweep::settings_value_to_string(value));
     }
   }
-  return parse_batch_cli(argv);
+  return argv;
 }
 
 /// Export one finished run's timeline into --timeline-dir (no-op when the
@@ -205,46 +182,32 @@ void write_run_timeline(exec::Result& result, const std::string& run_name,
 
 /// Execute one "tool": "batch" run: the whole fleet simulation becomes one
 /// sweep data point. The fleet makespan lands in Result::makespan and the
-/// full single-policy bbsim.batch.v1 report rides in Result::metrics, so
-/// the sweep report carries every fleet metric per run.
+/// single-policy bbsim.batch.v1 report bbsim_batch would write rides in
+/// Result::metrics, so the sweep report carries every fleet metric per run.
 exec::Result execute_batch_run(const sweep::ExpandedRun& run, bool collect_metrics,
                                bool force_audit, const std::string& timeline_dir) {
-  const BatchCliOptions opt = batch_options_from_settings(run.settings);
+  const BatchCliOptions opt = parse_batch_cli(
+      settings_argv(run.settings, batch_forbidden_keys(), "a batch sweep"));
   const std::vector<batch::Policy> policies = resolve_policies(opt.policy);
   if (policies.size() != 1) {
     throw ConfigError("sweep spec: a batch run needs a single policy -- put "
                       "\"policy\" on an axis instead of using \"all\"");
   }
-  batch::MachineSpec machine;
-  machine.nodes = opt.nodes;
-  machine.bb_bytes = opt.bb_capacity;
-  machine.bb_granule = opt.bb_granule;
+  FleetSetup setup = fleet_setup(opt);
+  setup.config.policy = policies.front();
+  setup.config.collect_metrics = collect_metrics;
+  setup.config.collect_timeline = wants_timeline(run.settings);
+  if (force_audit) setup.config.audit = true;
 
-  batch::JobStream stream;
-  if (!opt.jobs_path.empty()) {
-    stream = batch::load_jobs_file(opt.jobs_path);
-    batch::validate_stream(stream, machine.nodes, machine.bb_bytes);
-  } else {
-    stream = batch::make_stream(stream_config_from(opt));
-  }
-  batch::resolve_payloads(stream);
-
-  batch::SchedulerConfig cfg;
-  cfg.policy = policies.front();
-  cfg.tau = opt.tau;
-  cfg.collect_metrics = collect_metrics;
-  cfg.collect_timeline = wants_timeline(run.settings);
-  cfg.audit = opt.audit || force_audit;
-
-  batch::FleetResult fleet = batch::run_scheduler(machine, stream, cfg);
+  batch::FleetResult fleet = batch::run_scheduler(setup.machine, setup.stream, setup.config);
   exec::Result result;
   result.makespan = fleet.makespan;
   result.workflow_span = fleet.makespan;
   result.audit = fleet.audit;
   result.audit_violations = fleet.audit_violations;
   result.timeline = fleet.timeline;
-  result.metrics = batch::batch_report(stream, machine, opt.tau,
-                                       {std::move(fleet)}, false);
+  result.metrics = batch::batch_report(setup.stream, setup.machine, opt.tau,
+                                       {std::move(fleet)}, opt.report_jobs, opt.critpath);
   write_run_timeline(result, run.name, timeline_dir);
   return result;
 }
@@ -255,7 +218,8 @@ exec::Result execute_run(const sweep::ExpandedRun& run, bool collect_metrics,
   if (is_batch_run(run.settings)) {
     return execute_batch_run(run, collect_metrics, force_audit, timeline_dir);
   }
-  const CliOptions opt = options_from_settings(run.settings);
+  const CliOptions opt =
+      parse_cli(settings_argv(run.settings, forbidden_keys(), "a sweep"));
   wf::Workflow workflow = resolve_workflow(opt);
   if (opt.cluster) workflow = wf::cluster_chains(workflow).workflow;
 
@@ -265,26 +229,10 @@ exec::Result execute_run(const sweep::ExpandedRun& run, bool collect_metrics,
   cfg.collect_timeline = wants_timeline(run.settings);
   if (force_audit) cfg.audit = true;  // a spec's "audit": true is kept either way
 
-  if (opt.testbed_system) {
-    // The repetition index salts the emulator's noise streams, exactly as
-    // Testbed::run_repetitions does for its serial loop.
-    double hint = -1.0;
-    if (const auto* fraction =
-            dynamic_cast<const exec::FractionPolicy*>(cfg.placement.get())) {
-      hint = fraction->input_fraction();
-    }
-    testbed::TestbedOptions topt;
-    topt.compute_nodes = opt.nodes;
-    topt.seed = opt.seed;
-    topt.repetitions = 1;
-    const testbed::Testbed tb(*opt.testbed_system, topt);
-    exec::Result result = tb.run_once(
-        workflow, cfg, static_cast<unsigned long long>(run.repetition), hint);
-    write_run_timeline(result, run.name, timeline_dir);
-    return result;
-  }
-  exec::Simulation sim(resolve_platform(opt), workflow, cfg);
-  exec::Result result = sim.run();
+  // The repetition index salts the emulator's noise streams, exactly as in
+  // Testbed::run_repetitions.
+  exec::Result result =
+      simulate(opt, workflow, cfg, static_cast<unsigned long long>(run.repetition));
   write_run_timeline(result, run.name, timeline_dir);
   return result;
 }

@@ -48,8 +48,10 @@ void execute_one(const RunSpec& spec, RunOutcome& out) {
     out.ok = true;
   } catch (const std::exception& e) {
     out.error = e.what();
+    out.exception = std::current_exception();
   } catch (...) {
     out.error = "unknown exception";
+    out.exception = std::current_exception();
   }
   out.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)  // NOLINT(bbsim-nondeterminism-source)

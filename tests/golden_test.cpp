@@ -56,10 +56,10 @@ TEST(Golden, TestbedNoiselessSwarpIsStable) {
   const testbed::Testbed tb(testbed::System::CoriPrivate, opt);
   exec::ExecutionConfig cfg;
   cfg.placement = exec::all_bb_policy();
-  const auto results = tb.run_repetitions(wf::make_swarp({}), cfg, 1.0);
+  const auto results = tb.run_repetitions(wf::make_swarp({}), cfg);
   // Pin only coarse structure (exact value is asserted by re-running).
   const double again =
-      tb.run_repetitions(wf::make_swarp({}), cfg, 1.0).front().makespan;
+      tb.run_repetitions(wf::make_swarp({}), cfg).front().makespan;
   EXPECT_DOUBLE_EQ(results.front().makespan, again);
   EXPECT_GT(results.front().stage_in_duration, 0.0);
 }

@@ -50,7 +50,7 @@ TEST(Validation, SimpleModelTracksTestbedForPrivateMode) {
   TestbedOptions opt;
   opt.repetitions = 5;
   Testbed tb(System::CoriPrivate, opt);
-  const auto measured = tb.run_repetitions(w, cfg, 1.0);
+  const auto measured = tb.run_repetitions(w, cfg);
   const auto obs = Testbed::observations(measured);
   const double measured_mean = mean_span(measured);
 
@@ -68,7 +68,7 @@ TEST(Validation, SimpleModelTracksTestbedForSummit) {
   TestbedOptions opt;
   opt.repetitions = 5;
   Testbed tb(System::Summit, opt);
-  const auto measured = tb.run_repetitions(w, cfg, 1.0);
+  const auto measured = tb.run_repetitions(w, cfg);
   const auto obs = Testbed::observations(measured);
   const double measured_mean = mean_span(measured);
   const double predicted = predict_with_simple_model(System::Summit, w, obs, cfg);
@@ -105,7 +105,7 @@ TEST(Validation, ContentionGrowsWithPipelines) {
     opt.repetitions = 1;
     opt.noise = false;
     Testbed tb(System::CoriPrivate, opt);
-    const auto results = tb.run_repetitions(w, cfg, 1.0);
+    const auto results = tb.run_repetitions(w, cfg);
     return Testbed::summarize(results).duration_by_type.at("resample").mean;
   };
   const double solo = run(1);

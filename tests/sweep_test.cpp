@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/batch_cli.hpp"
 #include "cli/options.hpp"
 #include "cli/runner.hpp"
 #include "cli/sweep_cli.hpp"
@@ -418,6 +419,64 @@ TEST(SweepCli, TimelineDirExportIsByteStableAndMatchesDirectRun) {
   std::remove(direct.c_str());
 }
 
+// A batch row runs bbsim_batch's own setup: its embedded run equals what
+// bbsim_batch --report-out writes for the same flags, faults and critpath
+// included.
+TEST(SweepCli, BatchRowsMatchBbsimBatch) {
+  const char* const kOutages = "node_mtbf=2000,node_repair=300,seed=3,horizon=20000";
+  const auto spec = sweep::parse_sweep_spec(json::parse(std::string(R"({
+    "base": {"tool": "batch", "gen": 60, "nodes": 16, "seed": 3,
+             "policy": "easy", "critpath": true},
+    "axes": {"faults": ["", ")") + kOutages + R"("]}
+  })"));
+  cli::SweepCliOptions opt;
+  opt.jobs = 2;
+  opt.quiet = true;
+  const json::Value report = cli::run_sweep_to_json(spec, opt);
+  const json::Array& rows = report.at("runs").as_array();
+  ASSERT_EQ(rows.size(), 2u);
+  const std::string out = ::testing::TempDir() + "/bbsim_sweep_batch_row.json";
+  const std::vector<std::string> faults = {"", kOutages};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rows[i].at("ok").as_bool()) << faults[i];
+    ASSERT_EQ(cli::run_batch_cli(cli::parse_batch_cli(
+                  {"--gen", "60", "--nodes", "16", "--seed", "3", "--policy", "easy",
+                   "--critpath", "--faults", faults[i], "--quiet", "--report-out", out})),
+              0);
+    const json::Value direct = json::parse(slurp(out)).at("runs").as_array()[0];
+    const json::Value& run = rows[i].at("metrics").at("runs").as_array()[0];
+    EXPECT_TRUE(run.contains("critpath")) << faults[i];
+    EXPECT_EQ(run.dump(), direct.dump()) << faults[i];
+    EXPECT_EQ(rows[i].at("makespan").as_number(), direct.at("makespan").as_number())
+        << faults[i];
+  }
+  // The outages lengthen the fleet makespan: the faults reached the row.
+  EXPECT_GT(rows[1].at("makespan").as_number(), rows[0].at("makespan").as_number());
+  std::remove(out.c_str());
+}
+
+// A testbed row and bbsim_run run the same simulation: the striped-mode
+// anomaly at 75 % staged comes from the placement in both.
+TEST(SweepCli, TestbedRowMatchesBbsimRun) {
+  const auto spec = sweep::parse_sweep_spec(json::parse(R"({
+    "base": {"workflow": "swarp", "pipelines": 2, "testbed": "cori-striped",
+             "policy": "fraction:0.75"}
+  })"));
+  cli::SweepCliOptions opt;
+  opt.quiet = true;
+  const auto outcomes = cli::execute_sweep_spec(spec, opt);
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  const std::string trace = ::testing::TempDir() + "/bbsim_sweep_testbed_row.json";
+  ASSERT_EQ(cli::run_cli(cli::parse_cli({"--workflow", "swarp", "--pipelines", "2",
+                                         "--testbed", "cori-striped", "--policy",
+                                         "fraction:0.75", "--quiet", "--trace", trace})),
+            0);
+  EXPECT_EQ(outcomes[0].result.makespan,
+            json::parse(slurp(trace)).at("makespan").as_number());
+  std::remove(trace.c_str());
+}
+
 TEST(SweepCli, ParseRejectsBadArgs) {
   EXPECT_THROW(cli::parse_sweep_cli({"--jobs", "-2", "s.json"}), util::ConfigError);
   EXPECT_THROW(cli::parse_sweep_cli({}), util::ConfigError);
@@ -442,11 +501,32 @@ TEST(TestbedParallel, RepetitionsIdenticalAcrossJobCounts) {
   const wf::Workflow workflow = wf::make_swarp({});
   exec::ExecutionConfig cfg;
   cfg.collect_trace = false;
-  const auto serial = tb.run_repetitions(workflow, cfg, 0.5, /*jobs=*/1);
-  const auto parallel = tb.run_repetitions(workflow, cfg, 0.5, /*jobs=*/4);
+  const auto serial = tb.run_repetitions(workflow, cfg, /*jobs=*/1);
+  const auto parallel = tb.run_repetitions(workflow, cfg, /*jobs=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].makespan, parallel[i].makespan) << "rep " << i;
+  }
+}
+
+// A failing repetition surfaces as the error it raised, at any job count.
+TEST(TestbedParallel, RepetitionFailureRethrownAsRaised) {
+  testbed::TestbedOptions topt;
+  topt.repetitions = 4;
+  const testbed::Testbed tb(testbed::System::Summit, topt);
+  wf::SwarpConfig wide;
+  wide.cores_per_task = 64;  // wider than every Summit host
+  const wf::Workflow workflow = wf::make_swarp(wide);
+  exec::ExecutionConfig cfg;
+  cfg.collect_trace = false;
+  for (const int jobs : {1, 4}) {
+    try {
+      tb.run_repetitions(workflow, cfg, jobs);
+      ADD_FAILURE() << "expected ConfigError at jobs " << jobs;
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("but the largest host has"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

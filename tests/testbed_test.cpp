@@ -131,9 +131,9 @@ TEST(Testbed, StripedSlowerThanPrivateForSwarp) {
   exec::ExecutionConfig cfg;
   cfg.placement = exec::all_bb_policy();
   const auto priv = Testbed::summarize(
-      Testbed(System::CoriPrivate, opt).run_repetitions(w, cfg, 1.0));
+      Testbed(System::CoriPrivate, opt).run_repetitions(w, cfg));
   const auto striped = Testbed::summarize(
-      Testbed(System::CoriStriped, opt).run_repetitions(w, cfg, 1.0));
+      Testbed(System::CoriStriped, opt).run_repetitions(w, cfg));
   EXPECT_GT(striped.makespan.mean, priv.makespan.mean * 1.5);
 }
 
@@ -144,9 +144,9 @@ TEST(Testbed, SummitFastestAndMostStable) {
   exec::ExecutionConfig cfg;
   cfg.placement = exec::all_bb_policy();
   const auto summit = Testbed::summarize(
-      Testbed(System::Summit, opt).run_repetitions(w, cfg, 1.0));
+      Testbed(System::Summit, opt).run_repetitions(w, cfg));
   const auto striped = Testbed::summarize(
-      Testbed(System::CoriStriped, opt).run_repetitions(w, cfg, 1.0));
+      Testbed(System::CoriStriped, opt).run_repetitions(w, cfg));
   EXPECT_LT(summit.makespan.mean, striped.makespan.mean);
   EXPECT_LT(summit.makespan.cv(), striped.makespan.cv());
 }
@@ -158,11 +158,11 @@ TEST(Testbed, StripedAnomalyRaisesStageInAt75) {
   const wf::Workflow w = wf::make_swarp({});
   exec::ExecutionConfig cfg;
   cfg.placement = std::make_shared<exec::FractionPolicy>(0.75, exec::Tier::BurstBuffer);
-  const auto with_anomaly = Testbed::summarize(tb.run_repetitions(w, cfg, 0.75));
+  const auto with_anomaly = Testbed::summarize(tb.run_repetitions(w, cfg));
   TestbedOptions opt2 = opt;
   opt2.striped_anomaly = false;
   const auto without = Testbed::summarize(
-      Testbed(System::CoriStriped, opt2).run_repetitions(w, cfg, 0.75));
+      Testbed(System::CoriStriped, opt2).run_repetitions(w, cfg));
   EXPECT_GT(with_anomaly.stage_in.mean, without.stage_in.mean);
 }
 

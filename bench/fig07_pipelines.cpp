@@ -17,7 +17,7 @@ int main() {
 
   const std::vector<int> pipeline_sweep = {1, 2, 4, 8, 16, 32};
 
-  for (const char* task_type : {"stage_in", "resample", "combine"}) {
+  for (const char* task_type : {wf::kStageInType, "resample", "combine"}) {
     std::vector<analysis::Series> panel;
     for (const auto system : bench::kAllSystems) {
       testbed::TestbedOptions opt;
@@ -35,7 +35,7 @@ int main() {
         cfg.placement = exec::all_bb_policy();
         const auto results = tb.run_repetitions(workflow, cfg);
         const auto stats = testbed::Testbed::summarize(results);
-        if (std::string(task_type) == "stage_in") {
+        if (std::string(task_type) == wf::kStageInType) {
           s.add(pipelines, stats.stage_in.mean, stats.stage_in.stddev);
         } else {
           const auto& d = stats.duration_by_type.at(task_type);

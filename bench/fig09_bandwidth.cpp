@@ -36,7 +36,7 @@ int main() {
     std::vector<double> device_bw;
     for (const exec::Result& r : results) {
       for (const auto& [name, rec] : r.tasks) {
-        if (rec.type == "stage_in") continue;
+        if (rec.type == wf::kStageInType) continue;
         bytes += rec.bytes_read + rec.bytes_written;
         io_time += rec.io_time();
       }

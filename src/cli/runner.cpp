@@ -251,9 +251,9 @@ int run_cli(const CliOptions& options) {
 
   // Failure-free twin: with faults active, re-run the same configuration
   // with the resil layer disabled to report makespan inflation against the
-  // undisturbed schedule.
+  // undisturbed schedule (under --testbed, of the reported repetition).
   double baseline_makespan = 0.0;
-  if (cfg.faults.enabled() && !options.testbed_system) {
+  if (cfg.faults.enabled()) {
     exec::ExecutionConfig twin_cfg = cfg;
     twin_cfg.faults = resil::FaultSpec{};
     twin_cfg.checkpoint = resil::CheckpointSpec{};
@@ -262,7 +262,7 @@ int run_cli(const CliOptions& options) {
     twin_cfg.profile = false;
     twin_cfg.audit = false;
     twin_cfg.critpath = false;
-    baseline_makespan = simulate(options, workflow, twin_cfg, 0).makespan;
+    baseline_makespan = simulate(options, workflow, twin_cfg, all_results.size() - 1).makespan;
   }
 
   print_summary(result, options);

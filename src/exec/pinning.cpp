@@ -7,6 +7,9 @@ namespace bbsim::exec {
 
 namespace {
 
+/// Files read by more than this many tasks do not glue components.
+constexpr std::size_t kBroadcastThreshold = 16;
+
 /// Union-find over task indexes with per-root component weight (flops).
 class UnionFind {
  public:
@@ -38,8 +41,7 @@ class UnionFind {
 }  // namespace
 
 std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
-                                            const platform::PlatformSpec& platform,
-                                            const PinningConfig& config) {
+                                            const platform::PlatformSpec& platform) {
   const std::size_t n = workflow.task_count();
   const std::size_t hosts = platform.hosts.size();
 
@@ -63,7 +65,7 @@ std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
   for (wf::FileId f = 0; f < workflow.file_count(); ++f) {
     const std::size_t consumers = workflow.consumers(f).size();
     if (consumers == 0) continue;
-    if (consumers > config.broadcast_threshold) continue;  // broadcast file
+    if (consumers > kBroadcastThreshold) continue;  // broadcast file
     glue.push_back({f, consumers});
   }
   std::stable_sort(glue.begin(), glue.end(),

@@ -6,8 +6,8 @@
 // host so that producer/consumer chains stay co-located:
 //
 //   1. Build connected components over tasks that share files, ignoring
-//      "broadcast" files read by more than `broadcast_threshold` tasks
-//      (those go to the PFS anyway).
+//      "broadcast" files read by more than 16 tasks (those go to the PFS
+//      anyway).
 //   2. Deal components onto hosts round-robin, largest first.
 //
 // This mirrors how the paper's workflows behave in practice: each SWarp
@@ -22,14 +22,8 @@
 
 namespace bbsim::exec {
 
-struct PinningConfig {
-  /// Files read by more than this many tasks do not glue components.
-  std::size_t broadcast_threshold = 16;
-};
-
 /// home[t] = host index of task t (a wf::TaskId).
 std::vector<std::size_t> compute_home_hosts(const wf::Workflow& workflow,
-                                            const platform::PlatformSpec& platform,
-                                            const PinningConfig& config = {});
+                                            const platform::PlatformSpec& platform);
 
 }  // namespace bbsim::exec

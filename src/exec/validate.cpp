@@ -129,7 +129,6 @@ std::vector<ValidationIssue> validate_result(const Result& result,
 
 namespace {
 
-constexpr const char* kStageInType = "stage_in";
 constexpr double kBytesTolerance = 1e-6;
 
 audit::Code audit_code_of(IssueCode code) {
@@ -170,7 +169,7 @@ void audit_result(const Result& result, const wf::Workflow& workflow,
   for (const auto& [name, rec] : result.tasks) {
     if (!workflow.has_task(name)) continue;  // already reported above
     const wf::Task& task = workflow.task(name);
-    if (task.type == kStageInType) {
+    if (task.type == wf::kStageInType) {
       if (!bytes_close(rec.bytes_read, rec.bytes_written)) {
         auditor.report(audit::Code::kByteConservation, audit::kPostRun, name,
                        util::format("stage-in read %.0f bytes but wrote %.0f",

@@ -30,7 +30,6 @@ using util::NotFoundError;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr const char* kStageInType = "stage_in";
 
 /// Amdahl's Law, re-derived from paper Eq. (2) rather than shared with
 /// src/model: time = alpha * t_seq + (1 - alpha) * t_seq / cores.
@@ -534,7 +533,7 @@ class RefSim {
   };
 
   int cores_for(const wf::Task& task) const {
-    if (task.type == kStageInType) return 1;  // stage-in is always sequential
+    if (task.type == wf::kStageInType) return 1;  // stage-in is always sequential
     int cores = task.requested_cores;
     if (config_.force_cores > 0) cores = config_.force_cores;
     return std::max(1, cores);
@@ -634,7 +633,7 @@ class RefSim {
 
     const bool pin = bb_restricted();
     std::vector<std::size_t> homes;
-    if (pin) homes = exec::compute_home_hosts(workflow_, spec_, config_.pinning);
+    if (pin) homes = exec::compute_home_hosts(workflow_, spec_);
 
     const auto tasks = workflow_.tasks();
     for (wf::TaskId i = 0; i < tasks.size(); ++i) {
@@ -699,7 +698,7 @@ class RefSim {
     staged_by_task_.clear();
     std::vector<std::string> stage_tasks;
     for (const wf::Task& t : workflow_.tasks()) {
-      if (t.type == kStageInType) stage_tasks.push_back(t.name);
+      if (t.type == wf::kStageInType) stage_tasks.push_back(t.name);
     }
     if (stage_tasks.empty()) return;
     if (stage_tasks.size() == 1) {
@@ -772,7 +771,7 @@ class RefSim {
     free_cores_[host] -= ts.cores;
     ts.record.t_start = now_;
 
-    if (ts.task->type == kStageInType) {
+    if (ts.task->type == wf::kStageInType) {
       run_stage_in(ts);
       return;
     }
@@ -1047,7 +1046,7 @@ RefResult RefSim::run() {
   // stages everything up front, before entry tasks become ready.
   bool has_stage_task = false;
   for (const wf::Task& t : workflow_.tasks()) {
-    if (t.type == kStageInType) {
+    if (t.type == wf::kStageInType) {
       has_stage_task = true;
       break;
     }
@@ -1065,7 +1064,7 @@ RefResult RefSim::run() {
     // unconditionally on this path).
     std::map<std::string, std::size_t> home_by_task;
     {
-      const auto homes = exec::compute_home_hosts(workflow_, spec_, config_.pinning);
+      const auto homes = exec::compute_home_hosts(workflow_, spec_);
       for (wf::TaskId i = 0; i < homes.size(); ++i) {
         home_by_task[workflow_.task(i).name] = homes[i];
       }

@@ -73,7 +73,6 @@ struct RefConfig {
   bool bb_eviction = false;
   int stage_in_width = 1;
   int force_cores = 0;
-  exec::PinningConfig pinning;
 };
 
 /// Runs the workflow on the platform from first principles and returns the

@@ -77,26 +77,4 @@ std::string characterization_report(const std::vector<exec::Result>& results) {
   return out;
 }
 
-std::vector<exec::Result> ok_results(const std::vector<sweep::RunOutcome>& outcomes) {
-  std::vector<exec::Result> results;
-  results.reserve(outcomes.size());
-  for (const sweep::RunOutcome& o : outcomes) {
-    if (o.ok) results.push_back(o.result);
-  }
-  return results;
-}
-
-std::string characterization_report(const std::vector<sweep::RunOutcome>& outcomes) {
-  const std::vector<exec::Result> results = ok_results(outcomes);
-  if (results.empty()) {
-    throw util::InvariantError("characterization: every sweep run failed");
-  }
-  std::string out = characterization_report(results);
-  for (const sweep::RunOutcome& o : outcomes) {
-    if (!o.ok && !o.skipped) out += "\nFAILED " + o.name + ": " + o.error;
-    if (o.skipped) out += "\nSKIPPED " + o.name;
-  }
-  return out;
-}
-
 }  // namespace bbsim::testbed

@@ -5,9 +5,7 @@
 /// aggregates from a set of repeated executions, plus per-storage-service
 /// counters (the toolkit behind Figures 5, 6 and 9). The inputs are plain
 /// exec::Result vectors -- produced serially or by a parallel
-/// sweep::SweepRunner campaign; the overloads taking sweep::RunOutcome
-/// consume a sweep directly, skipping failed runs and appending a failure
-/// roster to the report.
+/// sweep::SweepRunner campaign.
 #pragma once
 
 #include <string>
@@ -15,7 +13,6 @@
 
 #include "analysis/report.hpp"
 #include "exec/trace.hpp"
-#include "sweep/runner.hpp"
 
 namespace bbsim::testbed {
 
@@ -29,14 +26,5 @@ analysis::Table storage_table(const std::vector<exec::Result>& results);
 
 /// Renders both tables as a printable report.
 std::string characterization_report(const std::vector<exec::Result>& results);
-
-/// The successful results of a sweep, in spec order (failed and skipped
-/// runs are dropped).
-std::vector<exec::Result> ok_results(const std::vector<sweep::RunOutcome>& outcomes);
-
-/// Characterization over a sweep campaign: the report of the successful
-/// runs, followed by one line per failed run. Throws util::InvariantError
-/// when no run succeeded.
-std::string characterization_report(const std::vector<sweep::RunOutcome>& outcomes);
 
 }  // namespace bbsim::testbed

@@ -313,7 +313,7 @@ std::map<std::string, model::TaskObservation> Testbed::observations(
   std::map<std::string, int> cores;
   for (const exec::Result& r : results) {
     for (const auto& [_, rec] : r.tasks) {
-      if (rec.type == "stage_in") continue;
+      if (rec.type == wf::kStageInType) continue;
       durations[rec.type].push_back(rec.duration());
       lambdas[rec.type].push_back(rec.lambda_io());
       cores[rec.type] = rec.cores;

@@ -16,11 +16,11 @@ namespace {
 std::optional<TaskId> mergeable_child(const Workflow& w, TaskId task,
                                       const ClusteringOptions& opt) {
   // Stage-in tasks get special engine treatment; never merge across them.
-  if (w.task(task).type == "stage_in") return std::nullopt;
+  if (w.task(task).type == kStageInType) return std::nullopt;
   const auto children = w.children(task);
   if (children.size() != 1) return std::nullopt;
   const TaskId child = children.front();
-  if (w.task(child).type == "stage_in") return std::nullopt;
+  if (w.task(child).type == kStageInType) return std::nullopt;
   if (w.parents(child).size() != 1) return std::nullopt;
   // Every produced file must feed only the child (or nobody: final outputs
   // are allowed and survive the merge); internalised files must be small.

@@ -15,7 +15,7 @@ Workflow make_swarp(const SwarpConfig& config) {
   Task stage_in;
   if (config.with_stage_in && !config.stage_in_per_pipeline) {
     stage_in.name = "stage_in";
-    stage_in.type = "stage_in";
+    stage_in.type = kStageInType;
     stage_in.flops = 0.0;
     stage_in.requested_cores = 1;  // "the stage-in task is always sequential"
   }
@@ -64,7 +64,7 @@ Workflow make_swarp(const SwarpConfig& config) {
     if (config.with_stage_in && config.stage_in_per_pipeline) {
       Task own_stage;
       own_stage.name = util::format("stage_in_%03d", p);
-      own_stage.type = "stage_in";
+      own_stage.type = kStageInType;
       own_stage.flops = 0.0;
       own_stage.requested_cores = 1;
       w.add_task(std::move(own_stage));

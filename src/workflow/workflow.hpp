@@ -37,6 +37,10 @@ struct File {
   double size = 0.0;  ///< bytes
 };
 
+/// Task::type of a stage-in task: the engine copies the staged input files
+/// from the PFS to the burst buffer in its place (paper Sec. III-D).
+inline constexpr const char* kStageInType = "stage_in";
+
 /// A workflow task (vertex).
 struct Task {
   std::string name;

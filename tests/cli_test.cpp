@@ -1,11 +1,14 @@
 // Unit tests for the command-line option parser and resolvers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cli/options.hpp"
 #include "cli/runner.hpp"
+#include "json/json.hpp"
+#include "testbed/testbed.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::cli {
@@ -166,6 +169,39 @@ TEST(RunCliCluster, ClusteredRunSucceeds) {
   opt.pipelines = 2;
   opt.quiet = true;
   EXPECT_EQ(cli::run_cli(opt), 0);
+}
+
+/// run_cli's --trace document for `opt`.
+json::Value traced_run(cli::CliOptions opt, const std::string& name) {
+  opt.quiet = true;
+  opt.trace_path = ::testing::TempDir() + "/bbsim_twin_" + name + ".json";
+  EXPECT_EQ(cli::run_cli(opt), 0);
+  json::Value doc = json::parse_file(opt.trace_path);
+  std::remove(opt.trace_path.c_str());
+  return doc;
+}
+
+TEST(RunCliTwin, BaselineIsTheFaultFreeRunOfTheReportedRepetition) {
+  // The failure-free twin reruns the reported result without faults: the
+  // plain run, or under --testbed the last repetition with its own salt.
+  for (const bool testbed : {false, true}) {
+    SCOPED_TRACE(testbed ? "testbed" : "plain");
+    cli::CliOptions opt;
+    opt.pipelines = 2;
+    if (testbed) {
+      opt.testbed_system = testbed::System::CoriPrivate;
+      opt.repetitions = 3;
+    }
+    const json::Value fault_free = traced_run(opt, "fault_free");
+    opt.faults = "node_mtbf=40,node_repair=5,seed=9,horizon=400";
+    const json::Value faulty = traced_run(opt, "faulty");
+    const json::Value& resil = faulty.at("resil");
+    ASSERT_GT(resil.get_number("node_crashes", 0.0), 0.0);
+    ASSERT_TRUE(resil.contains("baseline_makespan"));
+    ASSERT_TRUE(resil.contains("makespan_inflation"));
+    EXPECT_EQ(resil.get_number("baseline_makespan", -1.0),
+              fault_free.get_number("makespan", -2.0));
+  }
 }
 
 }  // namespace cluster_flag_tests

@@ -20,7 +20,6 @@
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
-#include "testbed/characterize.hpp"
 #include "testbed/testbed.hpp"
 #include "util/error.hpp"
 #include "workflow/swarp.hpp"
@@ -528,21 +527,6 @@ TEST(TestbedParallel, RepetitionFailureRethrownAsRaised) {
           << e.what();
     }
   }
-}
-
-TEST(TestbedParallel, CharacterizationOverSweepOutcomes) {
-  sweep::SweepOptions opt;
-  opt.jobs = 2;
-  std::vector<sweep::RunSpec> specs = tiny_specs(2);
-  specs.push_back(sweep::RunSpec{"bad", []() -> exec::Result {
-                                   throw util::ConfigError("dead run");
-                                 }});
-  const auto outcomes = sweep::SweepRunner(opt).run(specs);
-  EXPECT_EQ(testbed::ok_results(outcomes).size(), 2u);
-  const std::string report = testbed::characterization_report(outcomes);
-  EXPECT_NE(report.find("per task type:"), std::string::npos);
-  EXPECT_NE(report.find("FAILED bad: configuration error: dead run"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -533,6 +533,29 @@ TEST_P(FlowManagerChurnTest, CompletionIndexMatchesBruteForceAfterEveryEvent) {
   EXPECT_GT(churn.cancels(), 0);
 }
 
+TEST_P(FlowManagerChurnTest, ClosureCertificateAgreesWithFullAfterEverySolve) {
+  // The audit's per-solve certificate covers only the last solve's closure.
+  // Under churn (capacity changes and starvation windows included) it must
+  // agree with the whole-network certificate after every solve: both clean.
+  struct BothScopes final : SolveObserver {
+    int solves = 0;
+    std::size_t closure_issues = 0;
+    std::size_t network_issues = 0;
+    void on_solved(const Network& net, int /*rounds*/) override {
+      ++solves;
+      closure_issues += net.solve_issues(Scope::kLastSolve).size();
+      network_issues += net.solve_issues(Scope::kNetwork).size();
+    }
+  } both;
+  obs::Sinks sinks;
+  sinks.solve_observer = &both;
+  FlowChurn churn(static_cast<std::uint64_t>(GetParam()), sinks);
+  churn.run(120, [] {});
+  EXPECT_GT(both.solves, 0);
+  EXPECT_EQ(both.closure_issues, 0u);
+  EXPECT_EQ(both.network_issues, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowManagerChurnTest, ::testing::Range(1, 9));
 
 TEST(FlowManagerTimeline, RatePointsMatchLiveRatesUnderChurn) {

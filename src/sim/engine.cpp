@@ -41,12 +41,46 @@ void Engine::check_time(const char* op, Time t) const {
   }
 }
 
+EventId Engine::make_id(std::uint64_t sequence, std::uint64_t slot) {
+  constexpr std::uint64_t kSlots = std::uint64_t{1} << kSlotBits;
+  if (slot >= kSlots) {
+    throw util::LimitError("more than " + std::to_string(kSlots) +
+                           " events pending at once");
+  }
+  if (sequence >= (std::uint64_t{1} << (64 - kSlotBits))) {
+    throw util::LimitError("event sequence number " + std::to_string(sequence) +
+                           " does not fit in an event id");
+  }
+  return (sequence << kSlotBits) | slot;
+}
+
+std::uint64_t Engine::slot_of(EventId id) {
+  return id & ((std::uint64_t{1} << kSlotBits) - 1);
+}
+
+bool Engine::is_pending(EventId id) const {
+  const std::uint64_t slot = slot_of(id);
+  return id != 0 && slot < slots_.size() && slots_[slot].id == id;
+}
+
+void Engine::free_slot(std::uint64_t slot) {
+  slots_[slot] = HandlerSlot{};
+  free_slots_.push_back(static_cast<std::uint32_t>(slot));
+}
+
 EventId Engine::schedule_at(Time t, EventHandler fn) {
   check_time("schedule_at", t);
-  const EventId id = next_id_++;
+  const std::uint64_t slot = free_slots_.empty() ? slots_.size() : free_slots_.back();
+  const EventId id = make_id(next_sequence_, slot);
+  ++next_sequence_;
+  if (slot == slots_.size()) {
+    slots_.push_back(HandlerSlot{id, std::move(fn)});
+  } else {
+    free_slots_.pop_back();
+    slots_[slot] = HandlerSlot{id, std::move(fn)};
+  }
   queue_.push_back(EventRecord{t, id});
   std::push_heap(queue_.begin(), queue_.end(), EventRecord::later);
-  handlers_.emplace(id, std::move(fn));
   if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
   if (events_scheduled_ != nullptr) {
     events_scheduled_->add(1.0);
@@ -60,17 +94,15 @@ EventId Engine::schedule_at(Time t, EventHandler fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  if (handlers_.count(id) == 0) return false;
-  handlers_.erase(id);
+  if (!is_pending(id)) return false;
+  free_slot(slot_of(id));
   ++tombstones_;
   // Compact once tombstones dominate the queue, so cancel-heavy phases
   // (e.g. every flow completion cancelling the manager's wake event) keep
   // the stored size proportional to the live size. The +64 slack keeps
   // small queues from compacting on every other cancellation.
-  if (tombstones_ > handlers_.size() + 64) {
-    std::erase_if(queue_, [this](const EventRecord& r) {
-      return handlers_.count(r.id) == 0;
-    });
+  if (tombstones_ > pending_count() + 64) {
+    std::erase_if(queue_, [this](const EventRecord& r) { return !is_pending(r.id); });
     std::make_heap(queue_.begin(), queue_.end(), EventRecord::later);
     tombstones_ = 0;
   }
@@ -87,7 +119,7 @@ bool Engine::cancel(EventId id) {
 }
 
 const Engine::EventRecord* Engine::next_live() {
-  while (!queue_.empty() && handlers_.count(queue_.front().id) == 0) {
+  while (!queue_.empty() && !is_pending(queue_.front().id)) {
     pop_top();
     if (tombstones_ > 0) --tombstones_;  // lazily discarded cancellation
   }
@@ -103,11 +135,12 @@ Engine::EventRecord Engine::pop_top() {
 
 void Engine::execute(const EventRecord& r) {
   now_ = r.time;
-  // Move the handler out before invoking: the callback may schedule or
-  // cancel other events, mutating handlers_.
-  auto it = handlers_.find(r.id);
-  EventHandler fn = std::move(it->second);
-  handlers_.erase(it);
+  // Move the handler out and free its slot before invoking: the callback
+  // may schedule or cancel other events, reusing the slot or growing
+  // slots_.
+  const std::uint64_t slot = slot_of(r.id);
+  EventHandler fn = std::move(slots_[slot].fn);
+  free_slot(slot);
   ++executed_;
   if (observer_ != nullptr) observer_->on_executed(r.id, r.time);
   if (events_executed_ != nullptr) {

@@ -6,18 +6,19 @@
 // callbacks scheduled here.
 //
 // Determinism: the heap orders events by (time, id), and every
-// schedule_at takes the next id, so ties in time break in insertion order
-// and two runs of the same program produce the same event interleaving.
+// schedule_at takes the next sequence number, which forms the id's high
+// bits, so ties in time break in insertion order and two runs of the same
+// program produce the same event interleaving.
 //
-// Cancellation is lazy: cancel() drops the handler immediately (so
-// pending_count() is always the live count) and leaves a tombstone record
-// in the heap, discarded when it reaches the top; when tombstones
+// Handlers live in a vector of slots with a free list; an id's low bits
+// name its slot. Cancellation is lazy: cancel() frees the slot immediately
+// (so pending_count() is always the live count) and leaves a tombstone
+// record in the heap, discarded when it reaches the top; when tombstones
 // outnumber live events the heap is compacted in one O(stored) pass.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/sinks.hpp"
@@ -37,8 +38,12 @@ namespace bbsim::sim {
 /// Simulated time in seconds.
 using Time = double;
 
-/// Handle for a scheduled event, usable with Engine::cancel(). Ids are
-/// never reused.
+/// Handle for a scheduled event, usable with Engine::cancel(). The high
+/// bits are a sequence number that grows with every schedule_at, the low
+/// Engine::kSlotBits bits the handler slot the event holds. Slots are
+/// reused once their event fires or is cancelled; sequence numbers never
+/// are, so ids grow in scheduling order and a fired or cancelled id names
+/// no later event. 0 is never an id.
 using EventId = std::uint64_t;
 
 /// Callback invoked when an event fires. It runs at `Engine::now()` equal to
@@ -67,6 +72,14 @@ class EngineObserver {
 ///   e.run();
 class Engine {
  public:
+  /// Low bits of an EventId that hold its handler slot: at most 2^24
+  /// events pending at once, and 2^40 - 1 schedule_at calls per engine.
+  static constexpr unsigned kSlotBits = 24;
+
+  /// The id of the `sequence`-th scheduled event, held in `slot`. Throws
+  /// util::LimitError when either field does not fit, instead of wrapping.
+  static EventId make_id(std::uint64_t sequence, std::uint64_t slot);
+
   /// Attaches the bundle's engine instruments: metrics (events scheduled /
   /// executed / cancelled, pending-queue high-water mark), an event-queue
   /// depth timeline track, the "sim.dispatch" profiler section and the
@@ -106,14 +119,15 @@ class Engine {
   /// Number of events executed so far.
   std::size_t executed_count() const { return executed_; }
 
-  /// Number of events currently pending. This is the *live* count --
-  /// cancelled events never appear, regardless of whether their queue
-  /// tombstones have been discarded yet.
-  std::size_t pending_count() const { return handlers_.size(); }
+  /// Number of events currently pending: the occupied handler slots.
+  /// This is the *live* count -- cancelled events never appear, regardless
+  /// of whether their queue tombstones have been discarded yet.
+  std::size_t pending_count() const { return slots_.size() - free_slots_.size(); }
 
  private:
-  /// One pending event. Ids grow with every schedule_at, so the id is the
-  /// FIFO tie-break among equal timestamps.
+  /// One pending event. Ids grow with every schedule_at (the sequence
+  /// number is in the high bits), so the id is the FIFO tie-break among
+  /// equal timestamps.
   struct EventRecord {
     Time time = 0.0;
     EventId id = 0;
@@ -124,14 +138,23 @@ class Engine {
     }
   };
 
+  /// A handler slot: the pending event's id and callback, or id 0 when
+  /// the slot is free.
+  struct HandlerSlot {
+    EventId id = 0;
+    EventHandler fn;
+  };
+
   Time now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_sequence_ = 1;
   std::size_t executed_ = 0;
   /// Binary min-heap (std::push_heap / std::pop_heap with
   /// EventRecord::later), live records and tombstones alike.
   std::vector<EventRecord> queue_;
-  /// The liveness authority: a record whose id is missing is a tombstone.
-  std::unordered_map<EventId, EventHandler> handlers_;
+  /// The liveness authority: a record whose slot holds another id (or
+  /// none) is a tombstone.
+  std::vector<HandlerSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;  ///< reusable slots, last freed on top
   /// Cancelled records still sitting in queue_; compacted when they
   /// outnumber the live events (plus slack, so small queues never compact).
   std::size_t tombstones_ = 0;
@@ -153,6 +176,12 @@ class Engine {
   /// Throws unless `t` is finite and not before now(); `op` names the
   /// caller in the message.
   void check_time(const char* op, Time t) const;
+  /// The slot `id` names (any id, even a stale or foreign one).
+  static std::uint64_t slot_of(EventId id);
+  /// True when `id` names a pending event.
+  bool is_pending(EventId id) const;
+  /// Empties `slot`, destroying its handler, and makes it reusable.
+  void free_slot(std::uint64_t slot);
   /// Discards tombstones from the top of queue_; returns the earliest live
   /// record, or nullptr when none is pending.
   const EventRecord* next_live();

@@ -45,6 +45,13 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what) : Error("configuration error: " + what) {}
 };
 
+/// A run outgrew a fixed limit of the simulator itself (e.g. the event
+/// engine's id space): the input is valid, but too large to simulate.
+class LimitError : public Error {
+ public:
+  explicit LimitError(const std::string& what) : Error("limit exceeded: " + what) {}
+};
+
 }  // namespace bbsim::util
 
 #define BBSIM_STRINGIZE_IMPL(x) #x

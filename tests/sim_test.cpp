@@ -430,5 +430,67 @@ TEST(Engine, FifoAmongEqualTimestampsSurvivesCancelChurn) {
   }
 }
 
+/// The handler slot an id names (its low Engine::kSlotBits bits).
+std::uint64_t slot_of(EventId id) {
+  return id & ((std::uint64_t{1} << Engine::kSlotBits) - 1);
+}
+
+TEST(Engine, StaleIdCancelsNothingAfterItsSlotIsReused) {
+  Engine e;
+  bool fired_first = false;
+  const EventId fired = e.schedule_at(1.0, [&] { fired_first = true; });
+  ASSERT_TRUE(e.step());
+  ASSERT_TRUE(fired_first);
+  bool second = false;
+  const EventId reuser = e.schedule_at(2.0, [&] { second = true; });
+  ASSERT_EQ(slot_of(reuser), slot_of(fired));  // the fired event's slot
+  EXPECT_NE(reuser, fired);
+  EXPECT_FALSE(e.cancel(fired));
+  EXPECT_EQ(e.pending_count(), 1u);
+
+  const EventId cancelled = e.schedule_at(3.0, [] {});
+  ASSERT_TRUE(e.cancel(cancelled));
+  bool third = false;
+  const EventId reuser2 = e.schedule_at(3.0, [&] { third = true; });
+  ASSERT_EQ(slot_of(reuser2), slot_of(cancelled));
+  EXPECT_FALSE(e.cancel(cancelled));
+  EXPECT_FALSE(e.cancel(fired));
+  EXPECT_EQ(e.pending_count(), 2u);
+  e.run();
+  EXPECT_TRUE(second);
+  EXPECT_TRUE(third);
+  EXPECT_FALSE(e.cancel(0));  // 0 is never an id
+}
+
+TEST(Engine, FifoAmongEqualTimesHoldsAcrossSlotReuse) {
+  // Cancelling frees slots out of order; later events at the same time
+  // reuse lower slots than some earlier ones, yet fire after all of them.
+  Engine e;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(e.schedule_at(5.0, [&order, i] { order.push_back(i); }));
+  }
+  for (const int victim : {7, 2, 5}) e.cancel(ids[static_cast<std::size_t>(victim)]);
+  for (int i = 10; i < 13; ++i) {
+    ids.push_back(e.schedule_at(5.0, [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_LT(slot_of(ids[10]), slot_of(ids[9]));  // a reused, lower slot
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));  // ids still grow
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 6, 8, 9, 10, 11, 12}));
+}
+
+TEST(Engine, EventIdFieldsThrowOnOverflowInsteadOfWrapping) {
+  constexpr std::uint64_t kSlots = std::uint64_t{1} << Engine::kSlotBits;
+  constexpr std::uint64_t kSequences = std::uint64_t{1} << (64 - Engine::kSlotBits);
+  EXPECT_THROW((void)Engine::make_id(kSequences, 0), util::LimitError);
+  EXPECT_THROW((void)Engine::make_id(1, kSlots), util::LimitError);
+  const EventId last = Engine::make_id(kSequences - 1, kSlots - 1);
+  EXPECT_EQ(last, std::numeric_limits<EventId>::max());
+  // The sequence number decides the order, whatever the slots.
+  EXPECT_LT(Engine::make_id(7, kSlots - 1), Engine::make_id(8, 0));
+}
+
 }  // namespace
 }  // namespace bbsim::sim

@@ -134,9 +134,9 @@ struct TaskResil {
   int kills = 0;     ///< times a crash killed a running attempt
   double lost_core_seconds = 0.0;    ///< work discarded by kills
   double rework_core_seconds = 0.0;  ///< re-executed work after rollbacks
-  /// Engine time the task first completed (-1 if it completed only once;
+  /// Engine time the task first completed (-1 until it first completes;
   /// used by the attempt-aware precedence audit: a child may start any time
-  /// after the parent's *first* completion).
+  /// after the parent's *first* completion, even if a rollback re-ran it).
   double first_complete_time = -1.0;
 };
 

@@ -204,4 +204,24 @@ TEST(RunCliTwin, BaselineIsTheFaultFreeRunOfTheReportedRepetition) {
   }
 }
 
+TEST(RunCliResil, FirstCompleteTimeIsSetAtATasksFirstCompletion) {
+  // CI's resil run. combine_000 is killed twice and completes once; its
+  // per-task first_complete_time is that completion, its record's t_end,
+  // which the attempt-aware precedence audit reads.
+  cli::CliOptions opt;
+  opt.pipelines = 2;
+  opt.faults = "node_mtbf=40,node_repair=5,seed=9,horizon=400";
+  opt.checkpoint = "interval=15,fraction=0.1,restart=2";
+  const json::Value doc = traced_run(opt, "first_complete");
+  const json::Value& task = doc.at("resil").at("tasks").at("combine_000");
+  ASSERT_EQ(task.get_number("kills", -1.0), 2.0);
+  ASSERT_EQ(task.get_number("attempts", -1.0), 3.0);
+  double t_end = -1.0;
+  for (const json::Value& record : doc.at("tasks").as_array()) {
+    if (record.get_string("name", "") == "combine_000") t_end = record.get_number("t_end", -1.0);
+  }
+  EXPECT_NEAR(t_end, 148.07, 0.005);
+  EXPECT_EQ(task.get_number("first_complete_time", -1.0), t_end);
+}
+
 }  // namespace cluster_flag_tests

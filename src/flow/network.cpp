@@ -121,7 +121,6 @@ FlowId Network::add_flow(FlowSpec spec) {
   ids_.push_back(id);
 
   FlowState st;
-  st.remaining = spec.volume;
   st.spec = std::move(spec);
 
   FlowLinks links;
@@ -271,7 +270,7 @@ void Network::build_closure() {
   drain_bits(res_seen_, words_for(m), closure_res_);
 }
 
-int Network::solve() {
+void Network::open_closure() {
   if (solve_calls_ != nullptr) solve_calls_->add(1.0);
 
   build_closure();
@@ -280,7 +279,9 @@ int Network::solve() {
   dirty_res_.clear();
   dirty_flow_ids_.clear();
   solved_once_ = true;
+}
 
+int Network::solve_open_closure() {
   const int rounds = solve_closure();
 
   if (solve_rounds_ != nullptr) solve_rounds_->add(static_cast<double>(rounds));

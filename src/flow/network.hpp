@@ -25,9 +25,11 @@
 // ascending index order, as a full solve enumerates them, by reading visit
 // bitsets back word by word: no sort. All per-solve scratch is
 // arena-allocated on the network (visit bits, reusable vectors), so
-// steady-state solves allocate nothing. for_each_resolved() exposes the
-// last closure, so the manager refreshes only the flows whose rate may
-// have moved.
+// steady-state solves allocate nothing. solve(before) hands the closure's
+// flows to the caller while they still hold their old rates, and
+// for_each_resolved() / for_each_resolved_load() expose the closure's new
+// rates and per-resource rate sums, so the manager brings up to date only
+// the flows and resources whose rate may move.
 // set_incremental(false) restores the historical solve-everything
 // behaviour (the benchmark baseline and a debugging aid).
 //
@@ -55,7 +57,9 @@ inline constexpr double kUnlimited = std::numeric_limits<double>::infinity();
 struct Resource {
   std::string name;
   double capacity = kUnlimited;
-  // --- accounting (maintained by FlowManager, see manager.hpp) ---
+  // --- accounting (FlowManager's ledger, see manager.hpp): up to date at
+  // the resource's last rate change, and for every resource once the
+  // network empties ---
   double bytes_served = 0.0;  ///< total bytes pushed through this resource
   double busy_time = 0.0;     ///< total time with at least one active flow
 };
@@ -75,7 +79,6 @@ struct FlowSpec {
 /// Allocation state of one active flow.
 struct FlowState {
   FlowSpec spec;
-  double remaining = 0.0;  ///< bytes still to transfer (advanced by FlowManager)
   double rate = 0.0;       ///< current allocation (bytes/second)
   bool bottlenecked_by_cap = false;  ///< true if the cap froze it (diagnostics)
 };
@@ -144,7 +147,23 @@ class Network {
   /// flows keep their converged rates; with set_incremental(false) every
   /// flow is re-solved from scratch, O(F * R) per freezing round. Returns
   /// the number of water-filling rounds run.
-  int solve();
+  int solve() {
+    return solve([](FlowId, const FlowState&) {});
+  }
+
+  /// solve(), first calling `before(FlowId, const FlowState&)` on every flow
+  /// of the closure it is about to re-solve, in index order, while each
+  /// still holds its old rate. FlowManager brings those flows' progress up
+  /// to date there. `before` must not change the network.
+  template <typename Fn>
+  int solve(Fn&& before) {
+    open_closure();
+    for (const std::size_t f : closure_flows_) {
+      const FlowState& st = flows_[f];
+      before(ids_[f], st);
+    }
+    return solve_open_closure();
+  }
 
   /// Toggle incremental solving (default on). Turning it off makes every
   /// solve() a full re-solve -- the benchmark baseline.
@@ -169,19 +188,6 @@ class Network {
     }
   }
 
-  /// The same walk with write access, for the manager's progress settle:
-  /// `fn(FlowId, FlowState&)` may lower FlowState::remaining (which does not
-  /// dirty the allocation) and must change nothing else.
-  template <typename Fn>
-  void for_each_flow_mut(Fn&& fn) {
-    for (FlowId id = head_; id != kNoId;) {
-      const std::size_t i = id_to_index_[id];
-      const FlowId next = links_[i].next;
-      fn(id, flows_[i]);
-      id = next;
-    }
-  }
-
   /// Visit the flows the last solve() re-solved (its closure: the dirty
   /// components in incremental mode, every flow in full mode), in index
   /// order. Only these flows' rates can have changed since the solve
@@ -189,6 +195,15 @@ class Network {
   template <typename Fn>
   void for_each_resolved(Fn&& fn) const {
     for (const std::size_t f : closure_flows_) fn(ids_[f], flows_[f]);
+  }
+
+  /// Visit the resources the last solve() re-solved, in id order, with the
+  /// summed finite rate of their flows after it (a flow crossing a resource
+  /// twice counts twice). The solver forms these sums while it freezes
+  /// flows; every other resource kept its sum. Valid until the next solve().
+  template <typename Fn>
+  void for_each_resolved_load(Fn&& fn) const {
+    for (const ResourceId r : closure_res_) fn(r, frozen_load_[r]);
   }
 
   /// Size of the id -> index table. Bounded by the high-water mark of
@@ -284,6 +299,12 @@ class Network {
   std::size_t checked_index(FlowId id) const;
 
   void mark_resource_dirty(ResourceId r);
+  /// First half of solve(): counts the call, builds the closure and
+  /// consumes the dirt.
+  void open_closure();
+  /// Second half of solve(): progressive filling over the closure, then the
+  /// metrics and the solve observer. Returns rounds.
+  int solve_open_closure();
   /// Computes closure_flows_ / closure_res_ for this solve: everything in
   /// full mode, the dirty-component closure in incremental mode.
   void build_closure();

@@ -1024,10 +1024,13 @@ TEST(ResilExec, LifecycleResultsArePinned) {
   EXPECT_GT(r4.stage_out_duration, 0.0);
 
   for (const Result* r : {&r1, &r2, &r3, &r4}) EXPECT_EQ(r->audit_violations, 0u);
-  EXPECT_EQ(result_hash(r1), "0xe3022dad71f7e140");
-  EXPECT_EQ(result_hash(r2), "0x776748ab2a40df32");
-  EXPECT_EQ(result_hash(r3), "0x652dac1251884739");
-  EXPECT_EQ(result_hash(r4), "0x88edb65b49e3838a");
+  // Lazy flow progress rounds differently from a per-interval walk: (1)
+  // and (2) differ from the eager pins only in the last bits of their
+  // times. Every hash covers the metrics section, flow.flows_settled too.
+  EXPECT_EQ(result_hash(r1), "0xcb2c00913c8b065b");
+  EXPECT_EQ(result_hash(r2), "0x700cd3783dc5c21c");
+  EXPECT_EQ(result_hash(r3), "0xb04215922fb56631");
+  EXPECT_EQ(result_hash(r4), "0x24e063f03191a61f");
 }
 
 }  // namespace

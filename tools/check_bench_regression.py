@@ -38,6 +38,7 @@ GATES = {
         ("solves", "equal", None, "both"),
         ("engine.flows", "equal", None, "both"),
         ("engine.events", "equal", None, "both"),
+        ("engine.flows_settled", "equal", None, "both"),
         ("max_rel_divergence_full", "max", DIVERGENCE_TOL, "both"),
         ("max_rel_divergence_oracle", "max", DIVERGENCE_TOL, "both"),
         # Incremental vs full re-solve, timed back-to-back in one run.

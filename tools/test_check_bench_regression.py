@@ -29,6 +29,7 @@ PAST = [
     ("flow_solver", "10k", "solves", lambda v: v - 1, BOTH),
     ("flow_solver", "10k", "engine.flows", lambda v: v + 1, BOTH),
     ("flow_solver", "100k", "engine.events", lambda v: v + 1, BOTH),
+    ("flow_solver", "100k", "engine.flows_settled", lambda v: v - 1, BOTH),
     ("flow_solver", "10k", "max_rel_divergence_full", lambda v: 1.001e-6,
      BOTH),
     ("flow_solver", "10k", "max_rel_divergence_oracle", lambda v: 1.001e-6,

@@ -18,10 +18,6 @@ using util::InvariantError;
 using ReadyKind = critpath::ReadyCause::Kind;
 
 namespace {
-/// Checkpoint files are "<task>.ckpt": outside the workflow's file set, so
-/// byte-conservation audits (which track declared files) ignore them.
-constexpr const char* kCkptSuffix = ".ckpt";
-
 critpath::TierIo& tier_io(Tier tier, critpath::TierIo& bb, critpath::TierIo& pfs) {
   return tier == Tier::BurstBuffer ? bb : pfs;
 }
@@ -137,8 +133,8 @@ obs::Sinks Simulation::make_sinks() {
     engine_probe_ = std::make_unique<audit::EngineProbe>(*auditor_);
     storage_probe_ = std::make_unique<audit::StorageProbe>(*auditor_, now);
     solve_probe_ = std::make_unique<audit::SolveProbe>(*auditor_, now);
-    for (const wf::File& f : workflow_.files()) {
-      storage_probe_->set_expected_size(f.name, f.size);
+    for (wf::FileId f = 0; f < workflow_.file_count(); ++f) {
+      storage_probe_->set_expected_size(file_ref(f));
     }
     sinks.engine_observer = engine_probe_.get();
     sinks.storage_observer = storage_probe_.get();
@@ -231,10 +227,7 @@ void Simulation::prepare() {
 
   // Initial dataset: all workflow inputs on the PFS.
   storage::StorageService& pfs = storage_.pfs();
-  for (const wf::FileId f : workflow_.input_files()) {
-    const wf::File& file = workflow_.file(f);
-    pfs.register_file(storage::FileRef{file.name, file.size}, 0);
-  }
+  for (const wf::FileId f : workflow_.input_files()) pfs.register_file(file_ref(f), 0);
 
   staged_file_host_.assign(workflow_.file_count(), 0);
   for (const wf::FileId f : staged_files_) {
@@ -243,13 +236,12 @@ void Simulation::prepare() {
   }
   if (config_.stage_in_mode == StageInMode::Instant && bb_svc != nullptr) {
     for (const wf::FileId f : staged_files_) {
-      const wf::File& file = workflow_.file(f);
-      if (!bb_admits(file.size)) {
+      if (!bb_admits(workflow_.file(f).size)) {
         ++skipped_stage_files_;
         bump("storage.skipped_stage_ins");
         continue;
       }
-      bb_svc->register_file(storage::FileRef{file.name, file.size}, staged_file_host_[f]);
+      bb_svc->register_file(file_ref(f), staged_file_host_[f]);
     }
   }
   build_stage_partition();
@@ -478,7 +470,7 @@ void Simulation::pump_stage_in(TaskState* ts, Window& window,
       trace(TraceEventKind::StageSkipped, ts, {.task = "implicit_stage_in", .file = spec.name});
       return false;
     }
-    const storage::FileRef file{spec.name, spec.size};
+    const storage::FileRef file = file_ref(f);
     const std::size_t via_host = staged_file_host_[f];
     if (ts != nullptr) {
       ts->record.bytes_read += file.size;
@@ -512,14 +504,14 @@ void Simulation::pump_stage_in(TaskState* ts, Window& window,
 void Simulation::issue_reads(TaskState& ts) {
   const auto start = [this, &ts](wf::FileId f) {
     const wf::File& spec = workflow_.file(f);
-    storage::StorageService* src = storage_.best_source(spec.name, ts.host);
+    storage::StorageService* src = storage_.best_source(f, ts.host);
     if (src == nullptr) {
       throw InvariantError("task '" + ts.task->name + "' cannot read file '" + spec.name +
                            "' from host " + std::to_string(ts.host) +
                            " (no readable replica)");
     }
     last_access_[f] = fabric_.engine().now();  // LRU bookkeeping
-    const storage::FileRef file{spec.name, spec.size};
+    const storage::FileRef file = file_ref(f);
     ts.record.bytes_read += file.size;
     trace(TraceEventKind::Read, &ts,
           {.file = spec.name,
@@ -617,7 +609,8 @@ void Simulation::take_checkpoint(TaskState& ts) {
   ts.phase = Phase::Checkpointing;
   cancel_drain(ts);  // the previous image is superseded before it drained
   const double bytes = checkpoint_bytes(ts);
-  const storage::FileRef file{ts.task->name + kCkptSuffix, bytes};
+  if (ts.ckpt_name.empty()) ts.ckpt_name = ts.task->name + ".ckpt";
+  const storage::FileRef file{checkpoint_key(ts), bytes, ts.ckpt_name};
   storage::StorageService* bb_svc = bb();
   const bool to_bb = bb_svc != nullptr && bb_has_room(bytes);
   storage::StorageService& dst = to_bb ? *bb_svc : storage_.pfs();
@@ -709,7 +702,7 @@ void Simulation::issue_writes(TaskState& ts) {
     }
     storage::StorageService& dst =
         tier == Tier::BurstBuffer ? *storage_.burst_buffer() : storage_.pfs();
-    const storage::FileRef file{spec.name, spec.size};
+    const storage::FileRef file = file_ref(f);
     ts.record.bytes_written += file.size;
     if (metrics_) {
       metrics_->histogram("flow.queue_wait_seconds")
@@ -767,8 +760,7 @@ void Simulation::run_stage_out() {
   storage::StorageService* bb_svc = bb();
   if (bb_svc == nullptr) return;
   for (const wf::FileId f : workflow_.output_files()) {
-    const std::string& name = workflow_.file(f).name;
-    if (bb_svc->has_file(name) && !storage_.pfs().has_file(name)) stage_out_files_.push_back(f);
+    if (bb_svc->has_file(f) && !storage_.pfs().has_file(f)) stage_out_files_.push_back(f);
   }
   stage_out_start_ = fabric_.engine().now();
   drain_stage_out();
@@ -777,15 +769,14 @@ void Simulation::run_stage_out() {
 void Simulation::drain_stage_out() {
   const auto start = [this](wf::FileId f) {
     storage::StorageService& bb_svc = *bb();
-    const wf::File& spec = workflow_.file(f);
-    const storage::StorageService::Replica* rep = bb_svc.replica(spec.name);
+    const storage::StorageService::Replica* rep = bb_svc.replica(f);
     const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
-    trace(TraceEventKind::StageOut, nullptr, {.task = "stage_out", .file = spec.name});
-    storage_.transfer(storage::FileRef{spec.name, spec.size}, bb_svc, storage_.pfs(), via_host,
-                      [this] {
-                        --stage_out_.inflight;
-                        drain_stage_out();
-                      });
+    trace(TraceEventKind::StageOut, nullptr,
+          {.task = "stage_out", .file = workflow_.file(f).name});
+    storage_.transfer(file_ref(f), bb_svc, storage_.pfs(), via_host, [this] {
+      --stage_out_.inflight;
+      drain_stage_out();
+    });
     return true;
   };
   pump(stage_out_, stage_out_files_, 1, start,
@@ -799,18 +790,17 @@ bool Simulation::try_evict(double bytes) {
   // eviction safe), least recently read first.
   std::vector<wf::FileId> candidates;
   for (const wf::FileId f : staged_files_) {
-    if (bb_svc->has_file(workflow_.file(f).name)) candidates.push_back(f);
+    if (bb_svc->has_file(f)) candidates.push_back(f);
   }
   std::stable_sort(candidates.begin(), candidates.end(), [this](wf::FileId a, wf::FileId b) {
     return last_access_[a] < last_access_[b];
   });
   for (const wf::FileId f : candidates) {
     if (bb_has_room(bytes)) return true;
-    const std::string& name = workflow_.file(f).name;
-    bb_svc->erase_file(name);
+    bb_svc->erase_file(f);
     ++evicted_files_;
     bump("storage.evictions");
-    trace(TraceEventKind::Evict, nullptr, {.file = name});
+    trace(TraceEventKind::Evict, nullptr, {.file = workflow_.file(f).name});
   }
   return bb_has_room(bytes);
 }
@@ -879,25 +869,29 @@ void Simulation::on_node_crash(std::size_t host) {
     }
   }
   // Node-local BB replicas on the host are gone. (A shared-BB appliance
-  // survives node crashes.)
+  // survives node crashes.) Walking them by name, workflow files and
+  // checkpoint images interleaved, fixes the order of rollbacks and
+  // requeues.
   storage::StorageService* bb_svc = bb();
   if (bb_svc != nullptr && bb_svc->kind() == StorageKind::NodeLocalBB) {
-    for (const std::string& f : bb_svc->file_names()) {
-      const storage::StorageService::Replica* rep = bb_svc->replica(f);
-      if (rep == nullptr || rep->node != static_cast<int>(host)) continue;
-      bb_svc->erase_file(f);
+    std::vector<storage::FileKey> lost = bb_svc->keys_on_node(static_cast<int>(host));
+    std::ranges::sort(lost, {}, [this](storage::FileKey key) {
+      return std::pair(key_name(key), key);
+    });
+    const std::size_t file_count = workflow_.file_count();
+    for (const storage::FileKey key : lost) {
+      bb_svc->erase_file(key);
       ++st.stats.files_invalidated;
       bump("resil.files_invalidated");
-      if (const auto file = workflow_.file_ids().find(f); file != workflow_.file_ids().end()) {
+      if (key < file_count) {
         // Staged inputs and drained outputs keep a PFS master copy; only a
         // BB-only intermediate forces lineage recovery.
-        if (!storage_.pfs().has_file(f)) on_file_lost(file->second);
-      } else if (util::ends_with(f, kCkptSuffix)) {
+        if (!storage_.pfs().has_file(key)) on_file_lost(key);
+      } else {
         // A checkpoint image died with its node: a drain still reading it
         // can never complete, and its progress is no longer recoverable
         // from the BB (the PFS copy, if drained, still is).
-        const auto owner = workflow_.task_ids().find(f.substr(0, f.rfind(kCkptSuffix)));
-        if (owner != workflow_.task_ids().end()) cancel_drain(states_[owner->second]);
+        cancel_drain(states_[key - file_count]);
       }
     }
   }
@@ -1059,7 +1053,7 @@ void Simulation::rollback_task(TaskState& ts) {
 }
 
 void Simulation::ensure_file_available(wf::FileId file) {
-  if (!storage_.replicas_of(workflow_.file(file).name).empty()) return;
+  if (storage_.has_file(file)) return;
   const auto producer = workflow_.producer(file);
   if (!producer) return;  // workflow inputs keep their PFS master copy
   TaskState& ps = states_[*producer];
@@ -1095,16 +1089,12 @@ void Simulation::cancel_drain(TaskState& ts) {
 void Simulation::cleanup_checkpoints(TaskState& ts) {
   resil::RunStats& stats = resil_->stats;
   cancel_drain(ts);
-  const std::string fname = ts.task->name + kCkptSuffix;
-  storage::StorageService* bb_svc = bb();
-  if (bb_svc != nullptr && bb_svc->has_file(fname)) {
-    stats.checkpoint_bytes_discarded += bb_svc->replica(fname)->size;
-    bb_svc->erase_file(fname);
-  }
-  storage::StorageService& pfs = storage_.pfs();
-  if (pfs.has_file(fname)) {
-    stats.checkpoint_bytes_discarded += pfs.replica(fname)->size;
-    pfs.erase_file(fname);
+  const storage::FileKey key = checkpoint_key(ts);
+  for (storage::StorageService* svc : {bb(), &storage_.pfs()}) {
+    const storage::StorageService::Replica* rep = svc != nullptr ? svc->replica(key) : nullptr;
+    if (rep == nullptr) continue;
+    stats.checkpoint_bytes_discarded += rep->size;
+    svc->erase_file(key);
   }
   ts.ckpt_durable = 0.0;
   ts.ckpt_size = 0.0;

@@ -202,6 +202,9 @@ class Simulation {
     double ckpt_durable = 0.0;   ///< progress recoverable from the PFS
     double ckpt_size = 0.0;      ///< bytes of the last checkpoint written
     double ckpt_write_start = 0.0;
+    /// "<task>.ckpt", built at the first checkpoint; storage reads it for
+    /// labels, errors and the PFS placement of the image.
+    std::string ckpt_name;
     /// This task's events, folded for the critical-path pass (set iff
     /// config.critpath).
     std::unique_ptr<critpath::TaskTrace> causal;
@@ -360,6 +363,22 @@ class Simulation {
   void sample_hosts_down();
 
   // ------------------------------------------------------------ helpers
+  // Storage keys: a workflow file's FileId, and file_count + TaskId for a
+  // task's checkpoint image, which is outside the workflow's file set (so
+  // byte-conservation audits, which track declared files, ignore it).
+  storage::FileRef file_ref(wf::FileId f) const {
+    const wf::File& file = workflow_.file(f);
+    return {f, file.size, file.name};
+  }
+  storage::FileKey checkpoint_key(const TaskState& ts) const {
+    return static_cast<storage::FileKey>(workflow_.file_count() + ts.id);
+  }
+  /// The name of a stored key: the file's, or the image's "<task>.ckpt".
+  std::string_view key_name(storage::FileKey key) const {
+    const std::size_t files = workflow_.file_count();
+    return key < files ? std::string_view(workflow_.file(key).name)
+                       : std::string_view(states_[key - files].ckpt_name);
+  }
   int cores_for(const wf::Task& task) const;
   /// The tier `ts` writes `file` to, given the policy's `requested` tier:
   /// a BB choice that a pinned consumer could not read becomes the PFS.

@@ -121,15 +121,6 @@ StorageService::StorageService(platform::Fabric& fabric, std::size_t storage_idx
   sample_occupancy();  // one starting point per attached sink
 }
 
-bool StorageService::has_file(const std::string& file_name) const {
-  return replicas_.count(file_name) > 0;
-}
-
-const StorageService::Replica* StorageService::replica(const std::string& file_name) const {
-  const auto it = replicas_.find(file_name);
-  return it == replicas_.end() ? nullptr : &it->second;
-}
-
 double StorageService::total_capacity() const {
   if (spec_.disk.capacity == platform::kUnlimited) return platform::kUnlimited;
   return spec_.disk.capacity * spec_.num_nodes;
@@ -137,15 +128,18 @@ double StorageService::total_capacity() const {
 
 double StorageService::replica_bytes() const {
   double sum = 0.0;
-  for (const auto& [_, rep] : replicas_) sum += rep.size;
+  for (const std::optional<Replica>& rep : replicas_) {
+    if (rep) sum += rep->size;
+  }
   return sum;
 }
 
-std::vector<std::string> StorageService::file_names() const {
-  std::vector<std::string> names;
-  names.reserve(replicas_.size());
-  for (const auto& [name, _] : replicas_) names.push_back(name);
-  return names;
+std::vector<FileKey> StorageService::keys_on_node(int node) const {
+  std::vector<FileKey> keys;
+  for (FileKey key = 0; key < replicas_.size(); ++key) {
+    if (replicas_[key] && replicas_[key]->node == node) keys.push_back(key);
+  }
+  return keys;
 }
 
 void StorageService::sample_occupancy() {
@@ -158,31 +152,34 @@ void StorageService::sample_occupancy() {
   }
 }
 
-void StorageService::reserve_capacity(const FileRef& file) {
-  BBSIM_ASSERT(file.size >= 0, "negative file size: " + file.name);
+double StorageService::reserve_capacity(const FileRef& file) {
+  BBSIM_ASSERT(file.size >= 0, "negative file size: " + std::string(file.name));
   double delta = file.size;
-  const auto it = replicas_.find(file.name);
-  if (it != replicas_.end()) delta -= it->second.size;  // overwrite frees old bytes
+  if (const Replica* old = replica(file.key)) delta -= old->size;  // overwrite frees old bytes
   const double cap = total_capacity();
   if (cap != platform::kUnlimited && used_bytes_ + delta > cap * (1 + 1e-9)) {
-    throw ConfigError("storage '" + name() + "' capacity exceeded writing '" + file.name +
-                      "' (" + std::to_string(used_bytes_ + delta) + " > " +
-                      std::to_string(cap) + " bytes)");
+    throw ConfigError("storage '" + name() + "' capacity exceeded writing '" +
+                      std::string(file.name) + "' (" + std::to_string(used_bytes_ + delta) +
+                      " > " + std::to_string(cap) + " bytes)");
   }
   used_bytes_ += delta;
   if (used_bytes_ > peak_used_bytes_) peak_used_bytes_ = used_bytes_;
   if (observer_ != nullptr) {
-    observer_->on_occupancy_change(*this, file.name, delta, used_bytes_);
+    observer_->on_occupancy_change(*this, file.key, delta, used_bytes_);
   }
+  sample_occupancy();
+  return delta;
+}
+
+void StorageService::release_capacity(FileKey key, double delta) {
+  used_bytes_ -= delta;
+  if (observer_ != nullptr) observer_->on_occupancy_change(*this, key, -delta, used_bytes_);
   sample_occupancy();
 }
 
 void StorageService::install_replica(const FileRef& file, std::size_t host_idx) {
-  Replica rep;
-  rep.size = file.size;
-  rep.node = placement_node(file, host_idx);
-  rep.creator_host = host_idx;
-  replicas_[file.name] = rep;
+  if (file.key >= replicas_.size()) replicas_.resize(std::size_t{file.key} + 1);
+  replicas_[file.key] = Replica{file.size, placement_node(file, host_idx), host_idx};
   if (observer_ != nullptr) observer_->on_replica_created(*this, file);
 }
 
@@ -191,17 +188,13 @@ void StorageService::register_file(const FileRef& file, std::size_t host_idx) {
   install_replica(file, host_idx);
 }
 
-void StorageService::erase_file(const std::string& file_name) {
-  const auto it = replicas_.find(file_name);
-  if (it == replicas_.end()) return;
-  const double size = it->second.size;
-  used_bytes_ -= size;
-  replicas_.erase(it);
-  if (observer_ != nullptr) {
-    observer_->on_occupancy_change(*this, file_name, -size, used_bytes_);
-    observer_->on_replica_erased(*this, file_name, size);
-  }
-  sample_occupancy();
+void StorageService::erase_file(FileKey key) {
+  const Replica* rep = replica(key);
+  if (rep == nullptr) return;
+  const double size = rep->size;
+  replicas_[key].reset();
+  release_capacity(key, size);
+  if (observer_ != nullptr) observer_->on_replica_erased(*this, key, size);
 }
 
 bool StorageService::striped() const {
@@ -215,9 +208,8 @@ bool StorageService::node_restricted() const {
           spec_.mode == platform::BBMode::Private);
 }
 
-bool StorageService::readable_from(const std::string& file_name,
-                                   std::size_t host_idx) const {
-  const Replica* rep = replica(file_name);
+bool StorageService::readable_from(FileKey key, std::size_t host_idx) const {
+  const Replica* rep = replica(key);
   return rep != nullptr && (!node_restricted() || rep->creator_host == host_idx);
 }
 
@@ -225,7 +217,7 @@ int StorageService::placement_node(const FileRef& file, std::size_t host_idx) co
   const auto nodes = static_cast<std::size_t>(spec_.num_nodes);
   switch (spec_.kind) {
     case platform::StorageKind::PFS:
-      return static_cast<int>(std::hash<std::string>{}(file.name) % nodes);
+      return static_cast<int>(std::hash<std::string_view>{}(file.name) % nodes);
     case platform::StorageKind::SharedBB:
       return striped() ? -1 : static_cast<int>(host_idx % nodes);
     case platform::StorageKind::NodeLocalBB:
@@ -262,10 +254,10 @@ double StorageService::metadata_ops_per_file() const {
   return striped() ? static_cast<double>(spec_.num_nodes) : 1.0;
 }
 
-void StorageService::apply_perturbation(IoPlan& plan, const FileRef& file, bool is_write,
+void StorageService::apply_perturbation(IoPlan& plan, bool is_write,
                                         std::size_t host_idx) const {
   if (!perturb_) return;
-  const IoPerturbation p = perturb_(file, is_write, host_idx);
+  const IoPerturbation p = perturb_(is_write, host_idx);
   plan.latency += p.extra_latency;
   if (p.rate_cap_scale != 1.0 && plan.rate_cap != flow::kUnlimited) {
     plan.rate_cap *= p.rate_cap_scale;
@@ -273,12 +265,12 @@ void StorageService::apply_perturbation(IoPlan& plan, const FileRef& file, bool 
 }
 
 IoPlan StorageService::plan_read(const FileRef& file, std::size_t host_idx) const {
-  const Replica* rep = replica(file.name);
+  const Replica* rep = replica(file.key);
   if (rep == nullptr) {
-    throw NotFoundError("file '" + file.name + "' on storage '" + name() + "'");
+    throw NotFoundError("file '" + std::string(file.name) + "' on storage '" + name() + "'");
   }
-  if (!readable_from(file.name, host_idx)) {
-    throw InvariantError("file '" + file.name + "' on '" + name() +
+  if (!readable_from(file.key, host_idx)) {
+    throw InvariantError("file '" + std::string(file.name) + "' on '" + name() +
                          "' is not readable from host index " + std::to_string(host_idx));
   }
   IoPlan plan;
@@ -288,10 +280,10 @@ IoPlan StorageService::plan_read(const FileRef& file, std::size_t host_idx) cons
   plan.rate_cap = spec_.stream_bw;
   plan.data = route(rep->node, file.size, host_idx, /*is_write=*/false);
   if (timeline_ != nullptr) {
-    plan.label =
-        "read " + file.name + " " + name() + "->host" + std::to_string(host_idx);
+    plan.label = "read " + std::string(file.name) + " " + name() + "->host" +
+                 std::to_string(host_idx);
   }
-  apply_perturbation(plan, file, /*is_write=*/false, host_idx);
+  apply_perturbation(plan, /*is_write=*/false, host_idx);
   return plan;
 }
 
@@ -303,10 +295,10 @@ IoPlan StorageService::plan_write(const FileRef& file, std::size_t host_idx) con
   plan.rate_cap = spec_.stream_bw;
   plan.data = route(placement_node(file, host_idx), file.size, host_idx, /*is_write=*/true);
   if (timeline_ != nullptr) {
-    plan.label =
-        "write " + file.name + " host" + std::to_string(host_idx) + "->" + name();
+    plan.label = "write " + std::string(file.name) + " host" + std::to_string(host_idx) +
+                 "->" + name();
   }
-  apply_perturbation(plan, file, /*is_write=*/true, host_idx);
+  apply_perturbation(plan, /*is_write=*/true, host_idx);
   return plan;
 }
 
@@ -315,41 +307,21 @@ IoHandle StorageService::read(const FileRef& file, std::size_t host_idx, Done do
 }
 
 IoHandle StorageService::write(const FileRef& file, std::size_t host_idx, Done done) {
-  IoPlan plan = plan_write(file, host_idx);
-  reserve_capacity(file);
-  // The replica becomes visible only when the last byte lands.
+  return run_write(file, host_idx, plan_write(file, host_idx), std::move(done));
+}
+
+IoHandle StorageService::run_write(const FileRef& file, std::size_t host_idx, IoPlan plan,
+                                   Done done) {
+  const double delta = reserve_capacity(file);
+  // The replica becomes visible only when the last byte lands; a cancel
+  // returns exactly the bytes reserved here.
   return execute_plan(
       fabric_, std::move(plan),
       [this, file, host_idx, done = std::move(done)] {
         install_replica(file, host_idx);
         if (done) done();
       },
-      [this, file] { abort_write_reservation(file); });
-}
-
-void StorageService::begin_external_write(const FileRef& file) {
-  reserve_capacity(file);
-}
-
-void StorageService::complete_external_write(const FileRef& file, std::size_t host_idx) {
-  // Capacity was reserved at begin_external_write; only the replica record
-  // is created here (reserve_capacity already credited back the bytes of an
-  // overwritten pre-existing replica).
-  install_replica(file, host_idx);
-}
-
-void StorageService::abort_write_reservation(const FileRef& file) {
-  // Exact mirror of reserve_capacity(): the replica map is unchanged since
-  // the reservation (install_replica never ran for this write), so the same
-  // delta computation reverses it precisely.
-  double delta = file.size;
-  const auto it = replicas_.find(file.name);
-  if (it != replicas_.end()) delta -= it->second.size;
-  used_bytes_ -= delta;
-  if (observer_ != nullptr) {
-    observer_->on_occupancy_change(*this, file.name, -delta, used_bytes_);
-  }
-  sample_occupancy();
+      [this, key = file.key, delta] { release_capacity(key, delta); });
 }
 
 }  // namespace bbsim::storage

@@ -13,11 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/network.hpp"
@@ -31,10 +32,19 @@ class TimelineRecorder;
 
 namespace bbsim::storage {
 
-/// A file as the storage layer sees it: a name and a size in bytes.
+/// Dense key of a stored file, chosen by the caller. Each service keeps
+/// its replicas in a table indexed by key, sized to the largest key it has
+/// seen.
+using FileKey = std::uint32_t;
+
+/// A file as the storage layer sees it: the caller's key, a size in bytes
+/// and a name. Replicas are keyed by `key` alone; the name is read only
+/// for plan labels, error messages and the PFS placement hash, so it must
+/// outlive every operation started with it.
 struct FileRef {
-  std::string name;
+  FileKey key = 0;
   double size = 0.0;
+  std::string_view name;
 };
 
 /// Completion callback for asynchronous operations.
@@ -49,8 +59,7 @@ struct IoPerturbation {
 
 /// host_idx is the initiating compute node; is_write distinguishes the
 /// direction.
-using PerturbFn =
-    std::function<IoPerturbation(const FileRef&, bool is_write, std::size_t host_idx)>;
+using PerturbFn = std::function<IoPerturbation(bool is_write, std::size_t host_idx)>;
 
 /// One data movement of an operation plan.
 struct SubFlow {
@@ -132,16 +141,16 @@ class StorageService;
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;
-  /// Occupancy changed by `delta` bytes (reservation or release);
-  /// `used_after` is the service's own accounting after the change.
-  virtual void on_occupancy_change(const StorageService& svc, const std::string& file,
-                                   double delta, double used_after) = 0;
+  /// Occupancy changed by `delta` bytes (reservation or release) for the
+  /// file keyed `file`; `used_after` is the service's own accounting after
+  /// the change.
+  virtual void on_occupancy_change(const StorageService& svc, FileKey file, double delta,
+                                   double used_after) = 0;
   /// A replica became visible (instant registration, write completion or
   /// fused-transfer completion).
   virtual void on_replica_created(const StorageService& svc, const FileRef& file) = 0;
-  /// A replica was dropped, releasing `size` bytes.
-  virtual void on_replica_erased(const StorageService& svc, const std::string& file,
-                                 double size) = 0;
+  /// The replica keyed `file` was dropped, releasing `size` bytes.
+  virtual void on_replica_erased(const StorageService& svc, FileKey file, double size) = 0;
 };
 
 /// One storage deployment of any kind; StorageSystem (system.hpp) builds
@@ -172,14 +181,16 @@ class StorageService {
   std::size_t storage_index() const { return storage_idx_; }
 
   // ------------------------------------------------------------- replicas
-  bool has_file(const std::string& file_name) const;
+  bool has_file(FileKey key) const { return replica(key) != nullptr; }
   /// nullptr when the file is not stored here.
-  const Replica* replica(const std::string& file_name) const;
+  const Replica* replica(FileKey key) const {
+    return key < replicas_.size() && replicas_[key] ? &*replicas_[key] : nullptr;
+  }
   /// Instantaneously place a file (initial dataset population at t=0).
   /// Throws ConfigError when capacity would be exceeded.
   void register_file(const FileRef& file, std::size_t host_idx);
   /// Drop a replica (no simulated cost; deletion is metadata-only here).
-  void erase_file(const std::string& file_name);
+  void erase_file(FileKey key);
   double used_bytes() const { return used_bytes_; }
   /// High-water mark of used_bytes() over the service's lifetime (includes
   /// in-flight write reservations). Available even when metrics are off;
@@ -190,10 +201,10 @@ class StorageService {
   /// auditor checks the two agree at end of run (allocation/release
   /// balance).
   double replica_bytes() const;
-  /// Names of every file stored here, in name order. A snapshot: safe to
-  /// erase_file() while iterating (the resil layer invalidates a crashed
-  /// node's replicas this way).
-  std::vector<std::string> file_names() const;
+  /// Keys of the replicas held by storage node `node`, ascending. A
+  /// snapshot: safe to erase_file() while iterating (the resil layer
+  /// invalidates a crashed node's replicas this way).
+  std::vector<FileKey> keys_on_node(int node) const;
   /// Total capacity across storage nodes (kUnlimited for the PFS).
   double total_capacity() const;
 
@@ -201,7 +212,7 @@ class StorageService {
   /// node-local device or a private-mode namespace (paper Section III-A).
   bool node_restricted() const;
   /// May `host_idx` read this file from here?
-  bool readable_from(const std::string& file_name, std::size_t host_idx) const;
+  bool readable_from(FileKey key, std::size_t host_idx) const;
 
   // ----------------------------------------------------------- operations
   // Both return a handle that can cancel the operation mid-flight: the
@@ -226,23 +237,13 @@ class StorageService {
   /// Install the testbed's interference hook (nullptr to clear).
   void set_perturbation(PerturbFn fn) { perturb_ = std::move(fn); }
 
-  /// Bookkeeping for a write planned via plan_write() but executed
-  /// externally (fused transfers): begin_external_write reserves capacity
-  /// when the data starts moving; complete_external_write registers the
-  /// replica when the last byte lands (without reserving again).
-  void begin_external_write(const FileRef& file);
-  void complete_external_write(const FileRef& file, std::size_t host_idx);
-  /// Roll back a reservation made by begin_external_write()/write() whose
-  /// data movement was cancelled before the replica appeared.
-  /// Must mirror the reservation exactly: the same delta that was added
-  /// (accounting for an overwritten pre-existing replica) is subtracted.
-  void abort_write_reservation(const FileRef& file);
-
  private:
+  friend class StorageSystem;  // runs fused transfers through run_write()
+
   platform::Fabric& fabric_;
   std::size_t storage_idx_;
   const platform::StorageSpec& spec_;
-  std::map<std::string, Replica> replicas_;
+  std::vector<std::optional<Replica>> replicas_;  ///< by FileKey
   double used_bytes_ = 0.0;
   double peak_used_bytes_ = 0.0;
   PerturbFn perturb_;
@@ -268,10 +269,17 @@ class StorageService {
 
   /// Create/replace the replica record for `file` and notify the observer.
   void install_replica(const FileRef& file, std::size_t host_idx);
+  /// The one write sequence, for write() and StorageSystem::transfer():
+  /// reserve capacity for `file`, run `plan`, then install the replica when
+  /// the last byte lands, or release the reservation if it is cancelled.
+  IoHandle run_write(const FileRef& file, std::size_t host_idx, IoPlan plan, Done done);
 
-  void apply_perturbation(IoPlan& plan, const FileRef& file, bool is_write,
-                          std::size_t host_idx) const;
-  void reserve_capacity(const FileRef& file);
+  void apply_perturbation(IoPlan& plan, bool is_write, std::size_t host_idx) const;
+  /// Reserve the bytes `file` adds (less an overwritten replica's) and
+  /// return that delta. Throws ConfigError when capacity would be exceeded.
+  double reserve_capacity(const FileRef& file);
+  /// Return `delta` reserved bytes for the file keyed `key`.
+  void release_capacity(FileKey key, double delta);
   /// Record `used_bytes_` into the occupancy sinks (no-op when none).
   void sample_occupancy();
 };

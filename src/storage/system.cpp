@@ -47,22 +47,18 @@ const StorageService* StorageSystem::burst_buffer() const {
   return nullptr;
 }
 
-std::vector<StorageService*> StorageSystem::replicas_of(const std::string& file_name) {
-  std::vector<StorageService*> out;
-  for (auto& s : services_) {
-    if (s->has_file(file_name)) out.push_back(s.get());
-  }
-  return out;
+bool StorageSystem::has_file(FileKey key) const {
+  return std::any_of(services_.begin(), services_.end(),
+                     [key](const auto& s) { return s->has_file(key); });
 }
 
-StorageService* StorageSystem::best_source(const std::string& file_name,
-                                           std::size_t host_idx) {
+StorageService* StorageSystem::best_source(FileKey key, std::size_t host_idx) {
   StorageService* pfs_with_file = nullptr;
   for (auto& s : services_) {
-    if (!s->has_file(file_name)) continue;
+    if (!s->has_file(key)) continue;
     if (s->kind() == StorageKind::PFS) {
       pfs_with_file = s.get();
-    } else if (s->readable_from(file_name, host_idx)) {
+    } else if (s->readable_from(key, host_idx)) {
       return s.get();  // a usable burst-buffer replica wins
     }
   }
@@ -86,7 +82,7 @@ IoHandle StorageSystem::transfer(const FileRef& file, StorageService& from,
   const auto& r = read.data;
   const auto& w = write.data;
   if (r.empty() || w.empty()) {
-    throw InvariantError("transfer of '" + file.name + "': empty data plan");
+    throw InvariantError("transfer of '" + std::string(file.name) + "': empty data plan");
   }
   auto concat = [](const std::vector<flow::ResourceId>& a,
                    const std::vector<flow::ResourceId>& b) {
@@ -109,23 +105,16 @@ IoHandle StorageSystem::transfer(const FileRef& file, StorageService& from,
       fused.data.push_back(SubFlow{w[i].volume, concat(r[i].path, w[i].path)});
     }
   } else {
-    throw InvariantError("transfer of '" + file.name +
+    throw InvariantError("transfer of '" + std::string(file.name) +
                          "': incompatible striping (" + std::to_string(r.size()) + " vs " +
                          std::to_string(w.size()) + " sub-flows)");
   }
 
   if (!read.label.empty()) {  // labelling on: annotate the fused copy
-    fused.label = "transfer " + file.name + " " + from.name() + "->" + to.name();
+    fused.label =
+        "transfer " + std::string(file.name) + " " + from.name() + "->" + to.name();
   }
-
-  to.begin_external_write(file);
-  return execute_plan(
-      fabric_, std::move(fused),
-      [&to, file, via_host, done = std::move(done)] {
-        to.complete_external_write(file, via_host);
-        if (done) done();
-      },
-      [&to, file] { to.abort_write_reservation(file); });
+  return to.run_write(file, via_host, std::move(fused), std::move(done));
 }
 
 void StorageSystem::set_perturbation(const PerturbFn& fn) {

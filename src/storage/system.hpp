@@ -1,5 +1,5 @@
 // bbsim -- StorageSystem: the storage services of a platform, lookups
-// across them (replicas_of, best_source) and fused transfers (stage-in,
+// across them (has_file, best_source) and fused transfers (stage-in,
 // stage-out).
 #pragma once
 
@@ -33,21 +33,22 @@ class StorageSystem {
   StorageService* burst_buffer();
   const StorageService* burst_buffer() const;
 
-  /// Services currently holding `file_name`, in platform declaration order.
-  std::vector<StorageService*> replicas_of(const std::string& file_name);
+  /// True when some service holds a replica of the file keyed `key`.
+  bool has_file(FileKey key) const;
 
-  /// Best service for `host_idx` to read `file_name` from: a readable
-  /// burst-buffer replica if one exists, otherwise the PFS replica.
+  /// Best service for `host_idx` to read the file keyed `key` from: a
+  /// readable burst-buffer replica if one exists, otherwise the PFS replica.
   /// Returns nullptr when no readable replica exists anywhere.
-  StorageService* best_source(const std::string& file_name, std::size_t host_idx);
+  StorageService* best_source(FileKey key, std::size_t host_idx);
 
   /// Fused copy: read from `from` and write to `to` as one coupled flow
   /// (the data stream is throttled by the slowest of the two paths, like a
   /// `cp` from PFS into the BB mount). `via_host` is the compute node
-  /// driving the copy. The destination replica appears on completion. The
-  /// returned handle can cancel the copy mid-flight: the destination's
-  /// capacity reservation is rolled back, no destination replica appears,
-  /// and `done` never fires.
+  /// driving the copy. The destination's write follows the same sequence as
+  /// StorageService::write: capacity is reserved up front and the replica
+  /// appears on completion. The returned handle can cancel the copy
+  /// mid-flight: the reservation is rolled back, no destination replica
+  /// appears, and `done` never fires.
   IoHandle transfer(const FileRef& file, StorageService& from, StorageService& to,
                     std::size_t via_host, Done done);
 

@@ -231,8 +231,7 @@ exec::Result Testbed::run_once(const wf::Workflow& workflow,
       if (s.kind != StorageKind::PFS) base_latency = s.base_latency;
     }
     simulation.storage().set_perturbation(
-        [op_rng, prof, anomaly, base_latency](const storage::FileRef&, bool is_write,
-                                              std::size_t) {
+        [op_rng, prof, anomaly, base_latency](bool is_write, std::size_t) {
           storage::IoPerturbation p;
           // Log-normal tail on the service latency (metadata jitter).
           p.extra_latency = base_latency * (op_rng->lognormal_mean(1.0, prof.latency_sigma) - 1.0);

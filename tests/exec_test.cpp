@@ -237,8 +237,8 @@ TEST(Engine, FinalOutputsGoToPfsUnderAllBB) {
   cfg.placement = all_bb_policy();
   Simulation sim(tiny(), w, cfg);
   sim.run();
-  EXPECT_TRUE(sim.storage().pfs().has_file("out"));
-  EXPECT_FALSE(sim.storage().burst_buffer()->has_file("out"));
+  EXPECT_TRUE(sim.storage().pfs().has_file(w.file_id("out")));
+  EXPECT_FALSE(sim.storage().burst_buffer()->has_file(w.file_id("out")));
 }
 
 TEST(Engine, NodeLocalDemotionForCrossHostConsumers) {
@@ -262,7 +262,7 @@ TEST(Engine, NodeLocalDemotionForCrossHostConsumers) {
   const Result r = sim.run();
   // The producer's BB write was demoted because a consumer lives elsewhere.
   EXPECT_GE(r.demoted_writes, 1u);
-  EXPECT_TRUE(sim.storage().pfs().has_file("shared"));
+  EXPECT_TRUE(sim.storage().pfs().has_file(w.file_id("shared")));
 }
 
 TEST(Engine, PinningKeepsChainsLocal) {
@@ -527,7 +527,7 @@ TEST(StageOut, DrainsBBOutputsToPfs) {
   Simulation sim(tiny(), w, cfg);
   const Result r = sim.run();
   EXPECT_GT(r.stage_out_duration, 0.0);
-  EXPECT_TRUE(sim.storage().pfs().has_file("out"));
+  EXPECT_TRUE(sim.storage().pfs().has_file(w.file_id("out")));
   // Drain rate: min(bb read 950/800 link, pfs write 100) = 100 B/s -> 8 s.
   EXPECT_NEAR(r.stage_out_duration, 8.0, 0.1);
   EXPECT_NEAR(r.makespan, r.workflow_span + 8.0, 0.1);
@@ -563,7 +563,7 @@ TEST(Eviction, LruEvictsStagedInputsToMakeRoom) {
   const Result r = sim.run();
   EXPECT_GE(r.evicted_files, 1u);
   EXPECT_EQ(r.demoted_writes, 0u);  // the write fit after eviction
-  EXPECT_TRUE(sim.storage().burst_buffer()->has_file("mid"));
+  EXPECT_TRUE(sim.storage().burst_buffer()->has_file(w.file_id("mid")));
 }
 
 TEST(Eviction, EvictsImplicitlyStagedInputsInTaskMode) {
@@ -585,7 +585,7 @@ TEST(Eviction, EvictsImplicitlyStagedInputsInTaskMode) {
   EXPECT_GT(r.stage_in_duration, 0.0);
   EXPECT_GE(r.evicted_files, 1u);
   EXPECT_EQ(r.demoted_writes, 0u);
-  EXPECT_TRUE(sim.storage().burst_buffer()->has_file("mid"));
+  EXPECT_TRUE(sim.storage().burst_buffer()->has_file(w.file_id("mid")));
 }
 
 TEST(Eviction, WithoutEvictionWriteDemotes) {
@@ -604,7 +604,7 @@ TEST(Eviction, WithoutEvictionWriteDemotes) {
   const Result r = sim.run();
   EXPECT_EQ(r.evicted_files, 0u);
   EXPECT_EQ(r.demoted_writes, 1u);
-  EXPECT_TRUE(sim.storage().pfs().has_file("mid"));
+  EXPECT_TRUE(sim.storage().pfs().has_file(w.file_id("mid")));
 }
 
 TEST(Eviction, SkipsStagingWhenFullWithoutEviction) {

@@ -186,7 +186,7 @@ TEST_P(StorageProperty, OperationTimeNeverBeatsBottleneck) {
 
     const double size = rng.uniform(1e6, 1e9);
     double write_done = -1;
-    bb->write({"f", size}, 0, [&] { write_done = fabric.engine().now(); });
+    bb->write({0, size, "f"}, 0, [&] { write_done = fabric.engine().now(); });
     fabric.engine().run();
     ASSERT_GT(write_done, 0.0);
     const auto& spec = bb->spec();
@@ -196,7 +196,7 @@ TEST_P(StorageProperty, OperationTimeNeverBeatsBottleneck) {
 
     const double start = fabric.engine().now();
     double read_done = -1;
-    bb->read({"f", size}, 0, [&] { read_done = fabric.engine().now(); });
+    bb->read({0, size, "f"}, 0, [&] { read_done = fabric.engine().now(); });
     fabric.engine().run();
     EXPECT_GE(read_done - start, size / (spec.disk.read_bw * spec.num_nodes) - 1e-6);
   }

@@ -16,6 +16,10 @@ using platform::PlatformSpec;
 using platform::PresetOptions;
 using platform::StorageKind;
 
+/// Keys of the test files (exec keys a workflow file by its FileId); the
+/// names only label plans and errors, and place files on the PFS.
+enum Key : FileKey { kF, kG, kOut, kA, kB, kBig, kMore, kF0, kF1, kGhost };
+
 /// A tiny deterministic platform where timing is easy to compute by hand:
 /// PFS disk 100 B/s, PFS link 1000 B/s, BB disk 950 B/s, BB link 800 B/s,
 /// all latencies zero.
@@ -47,9 +51,9 @@ PlatformSpec tiny_platform(StorageKind bb_kind, BBMode mode = BBMode::Private,
 TEST(PfsServiceTest, ReadTimeIsBottleneckBandwidth) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);
   double done = -1;
-  sys.pfs().read({"f", 1000.0}, 0, [&] { done = fabric.engine().now(); });
+  sys.pfs().read({kF, 1000.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 10.0);  // 1000 B / min(100 disk, 1000 link)
 }
@@ -58,8 +62,8 @@ TEST(PfsServiceTest, WriteRegistersReplicaOnCompletion) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
   bool during = true;
-  sys.pfs().write({"out", 500.0}, 0, [&] { during = sys.pfs().has_file("out"); });
-  EXPECT_FALSE(sys.pfs().has_file("out"));  // not visible until done
+  sys.pfs().write({kOut, 500.0, "out"}, 0, [&] { during = sys.pfs().has_file(kOut); });
+  EXPECT_FALSE(sys.pfs().has_file(kOut));  // not visible until done
   fabric.engine().run();
   EXPECT_TRUE(during);
   EXPECT_DOUBLE_EQ(sys.pfs().used_bytes(), 500.0);
@@ -68,17 +72,17 @@ TEST(PfsServiceTest, WriteRegistersReplicaOnCompletion) {
 TEST(PfsServiceTest, MissingFileReadThrows) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  EXPECT_THROW(sys.pfs().read({"ghost", 1.0}, 0, nullptr), util::NotFoundError);
+  EXPECT_THROW(sys.pfs().read({kGhost, 1.0, "ghost"}, 0, nullptr), util::NotFoundError);
 }
 
 TEST(PfsServiceTest, ConcurrentReadsShareDisk) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"a", 1000.0}, 0);
-  sys.pfs().register_file({"b", 1000.0}, 0);
+  sys.pfs().register_file({kA, 1000.0, "a"}, 0);
+  sys.pfs().register_file({kB, 1000.0, "b"}, 0);
   double ta = -1, tb = -1;
-  sys.pfs().read({"a", 1000.0}, 0, [&] { ta = fabric.engine().now(); });
-  sys.pfs().read({"b", 1000.0}, 0, [&] { tb = fabric.engine().now(); });
+  sys.pfs().read({kA, 1000.0, "a"}, 0, [&] { ta = fabric.engine().now(); });
+  sys.pfs().read({kB, 1000.0, "b"}, 0, [&] { tb = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(ta, 20.0);  // two flows share 100 B/s
   EXPECT_DOUBLE_EQ(tb, 20.0);
@@ -89,20 +93,20 @@ TEST(SharedBBTest, PrivateModeRestrictsReader) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   ASSERT_NE(bb, nullptr);
-  bb->register_file({"f", 100.0}, /*host=*/0);
-  EXPECT_TRUE(bb->readable_from("f", 0));
-  EXPECT_FALSE(bb->readable_from("f", 1));
-  EXPECT_THROW(bb->read({"f", 100.0}, 1, nullptr), util::InvariantError);
+  bb->register_file({kF, 100.0, "f"}, /*host=*/0);
+  EXPECT_TRUE(bb->readable_from(kF, 0));
+  EXPECT_FALSE(bb->readable_from(kF, 1));
+  EXPECT_THROW(bb->read({kF, 100.0, "f"}, 1, nullptr), util::InvariantError);
 }
 
 TEST(SharedBBTest, StripedModeReadableFromAnyHost) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB, BBMode::Striped, 2, 2));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"f", 100.0}, 0);
-  EXPECT_TRUE(bb->readable_from("f", 0));
-  EXPECT_TRUE(bb->readable_from("f", 1));
-  EXPECT_EQ(bb->replica("f")->node, -1);  // striped marker
+  bb->register_file({kF, 100.0, "f"}, 0);
+  EXPECT_TRUE(bb->readable_from(kF, 0));
+  EXPECT_TRUE(bb->readable_from(kF, 1));
+  EXPECT_EQ(bb->replica(kF)->node, -1);  // striped marker
 }
 
 TEST(SharedBBTest, StripedReadTimeUsesAllNodes) {
@@ -111,9 +115,9 @@ TEST(SharedBBTest, StripedReadTimeUsesAllNodes) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB, BBMode::Striped, 2));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"f", 1600.0}, 0);
+  bb->register_file({kF, 1600.0, "f"}, 0);
   double done = -1;
-  bb->read({"f", 1600.0}, 0, [&] { done = fabric.engine().now(); });
+  bb->read({kF, 1600.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 1.0);
 }
@@ -122,22 +126,22 @@ TEST(SharedBBTest, PrivateModePinsToOneNode) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB, BBMode::Private, 2, 2));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"f0", 10.0}, 0);
-  bb->register_file({"f1", 10.0}, 1);
-  EXPECT_EQ(bb->replica("f0")->node, 0);
-  EXPECT_EQ(bb->replica("f1")->node, 1);
+  bb->register_file({kF0, 10.0, "f0"}, 0);
+  bb->register_file({kF1, 10.0, "f1"}, 1);
+  EXPECT_EQ(bb->replica(kF0)->node, 0);
+  EXPECT_EQ(bb->replica(kF1)->node, 1);
 }
 
 TEST(SharedBBTest, CapacityEnforced) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));  // 10000 bytes capacity
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"big", 9000.0}, 0);
-  EXPECT_THROW(bb->register_file({"more", 2000.0}, 0), util::ConfigError);
+  bb->register_file({kBig, 9000.0, "big"}, 0);
+  EXPECT_THROW(bb->register_file({kMore, 2000.0, "more"}, 0), util::ConfigError);
   // Overwriting the same file does not double-count.
-  bb->register_file({"big", 9500.0}, 0);
+  bb->register_file({kBig, 9500.0, "big"}, 0);
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 9500.0);
-  bb->erase_file("big");
+  bb->erase_file(kBig);
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 0.0);
 }
 
@@ -145,20 +149,20 @@ TEST(NodeLocalBBTest, OnlyHolderHostReads) {
   Fabric fabric(tiny_platform(StorageKind::NodeLocalBB, BBMode::Private, 1, 2));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"f", 100.0}, 1);
-  EXPECT_FALSE(bb->readable_from("f", 0));
-  EXPECT_TRUE(bb->readable_from("f", 1));
-  EXPECT_EQ(bb->replica("f")->node, 1);  // the holder's own device
-  EXPECT_EQ(bb->replica("ghost"), nullptr);
+  bb->register_file({kF, 100.0, "f"}, 1);
+  EXPECT_FALSE(bb->readable_from(kF, 0));
+  EXPECT_TRUE(bb->readable_from(kF, 1));
+  EXPECT_EQ(bb->replica(kF)->node, 1);  // the holder's own device
+  EXPECT_EQ(bb->replica(kGhost), nullptr);
 }
 
 TEST(NodeLocalBBTest, LocalReadTimeUsesDeviceOnly) {
   Fabric fabric(tiny_platform(StorageKind::NodeLocalBB));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"f", 1600.0}, 0);
+  bb->register_file({kF, 1600.0, "f"}, 0);
   double done = -1;
-  bb->read({"f", 1600.0}, 0, [&] { done = fabric.engine().now(); });
+  bb->read({kF, 1600.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 2.0);  // 1600 / min(950 disk, 800 iface)
 }
@@ -223,9 +227,9 @@ TEST(IoPlanTest, EveryKindPinsPathsVolumesAndMetadataOps) {
     Fabric fabric(tiny_platform(c.bb_kind, c.mode, c.bb_nodes, /*hosts=*/2));
     StorageSystem sys(fabric);
     StorageService& svc = sys.service(c.service);
-    svc.register_file({"f", 1000.0}, 1);
-    const IoPlan read = svc.plan_read({"f", 1000.0}, 1);
-    const IoPlan write = svc.plan_write({"g", 1000.0}, 1);
+    svc.register_file({kF, 1000.0, "f"}, 1);
+    const IoPlan read = svc.plan_read({kF, 1000.0, "f"}, 1);
+    const IoPlan write = svc.plan_write({kG, 1000.0, "g"}, 1);
     EXPECT_EQ(named(fabric, read), c.read);
     EXPECT_EQ(named(fabric, write), c.write);
     EXPECT_DOUBLE_EQ(read.metadata_ops, c.metadata_ops);
@@ -239,9 +243,9 @@ TEST(ServiceTest, LatencyDelaysData) {
   p.storage[0].base_latency = 0.25;
   Fabric fabric(std::move(p));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 100.0}, 0);
+  sys.pfs().register_file({kF, 100.0, "f"}, 0);
   double done = -1;
-  sys.pfs().read({"f", 100.0}, 0, [&] { done = fabric.engine().now(); });
+  sys.pfs().read({kF, 100.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 0.75 + 1.0);  // latency + 100 B at 100 B/s
 }
@@ -251,9 +255,9 @@ TEST(ServiceTest, StreamCapLimitsSingleFlow) {
   p.storage[0].stream_bw = 10.0;
   Fabric fabric(std::move(p));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 100.0}, 0);
+  sys.pfs().register_file({kF, 100.0, "f"}, 0);
   double done = -1;
-  sys.pfs().read({"f", 100.0}, 0, [&] { done = fabric.engine().now(); });
+  sys.pfs().read({kF, 100.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 10.0);  // capped at 10 B/s despite 100 B/s disk
 }
@@ -263,9 +267,9 @@ TEST(ServiceTest, MetadataServerSerialisesOps) {
   p.storage[0].metadata_ops_per_sec = 2.0;  // 0.5 s per exclusive op
   Fabric fabric(std::move(p));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 100.0}, 0);
+  sys.pfs().register_file({kF, 100.0, "f"}, 0);
   double done = -1;
-  sys.pfs().read({"f", 100.0}, 0, [&] { done = fabric.engine().now(); });
+  sys.pfs().read({kF, 100.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 0.5 + 1.0);  // metadata op then data
 }
@@ -275,12 +279,12 @@ TEST(ServiceTest, PerturbationHookAddsLatencyAndScalesCap) {
   p.storage[0].stream_bw = 100.0;
   Fabric fabric(std::move(p));
   StorageSystem sys(fabric);
-  sys.pfs().set_perturbation([](const FileRef&, bool, std::size_t) {
+  sys.pfs().set_perturbation([](bool, std::size_t) {
     return IoPerturbation{2.0, 0.5};  // +2 s latency, cap halved to 50 B/s
   });
-  sys.pfs().register_file({"f", 100.0}, 0);
+  sys.pfs().register_file({kF, 100.0, "f"}, 0);
   double done = -1;
-  sys.pfs().read({"f", 100.0}, 0, [&] { done = fabric.engine().now(); });
+  sys.pfs().read({kF, 100.0, "f"}, 0, [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 2.0 + 2.0);  // 2 s latency + 100 B at 50 B/s
 }
@@ -288,20 +292,25 @@ TEST(ServiceTest, PerturbationHookAddsLatencyAndScalesCap) {
 TEST(SystemTest, BestSourcePrefersReadableBB) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB, BBMode::Private, 1, 2));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 10.0}, 0);
-  sys.burst_buffer()->register_file({"f", 10.0}, 0);
-  EXPECT_EQ(sys.best_source("f", 0), sys.burst_buffer());
-  EXPECT_EQ(sys.best_source("f", 1), &sys.pfs());  // private replica hidden
-  EXPECT_EQ(sys.best_source("ghost", 0), nullptr);
+  sys.pfs().register_file({kF, 10.0, "f"}, 0);
+  sys.burst_buffer()->register_file({kF, 10.0, "f"}, 0);
+  EXPECT_EQ(sys.best_source(kF, 0), sys.burst_buffer());
+  EXPECT_EQ(sys.best_source(kF, 1), &sys.pfs());  // private replica hidden
+  EXPECT_EQ(sys.best_source(kGhost, 0), nullptr);
 }
 
-TEST(SystemTest, ReplicasOfListsAllHolders) {
+TEST(SystemTest, HasFileSeesEveryHolder) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 10.0}, 0);
-  EXPECT_EQ(sys.replicas_of("f").size(), 1u);
-  sys.burst_buffer()->register_file({"f", 10.0}, 0);
-  EXPECT_EQ(sys.replicas_of("f").size(), 2u);
+  EXPECT_FALSE(sys.has_file(kF));
+  sys.pfs().register_file({kF, 10.0, "f"}, 0);
+  EXPECT_TRUE(sys.has_file(kF));
+  sys.burst_buffer()->register_file({kF, 10.0, "f"}, 0);
+  sys.pfs().erase_file(kF);
+  EXPECT_TRUE(sys.has_file(kF));  // the BB replica alone still counts
+  sys.burst_buffer()->erase_file(kF);
+  EXPECT_FALSE(sys.has_file(kF));
+  EXPECT_FALSE(sys.has_file(kGhost));
 }
 
 TEST(SystemTest, TransferCoupledBottleneck) {
@@ -309,27 +318,27 @@ TEST(SystemTest, TransferCoupledBottleneck) {
   // = 100 B/s -> 10 s.
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);
   double done = -1;
-  sys.transfer({"f", 1000.0}, sys.pfs(), *sys.burst_buffer(), 0,
+  sys.transfer({kF, 1000.0, "f"}, sys.pfs(), *sys.burst_buffer(), 0,
                [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   EXPECT_DOUBLE_EQ(done, 10.0);
-  EXPECT_TRUE(sys.burst_buffer()->has_file("f"));
+  EXPECT_TRUE(sys.burst_buffer()->has_file(kF));
   EXPECT_DOUBLE_EQ(sys.burst_buffer()->used_bytes(), 1000.0);
 }
 
 TEST(SystemTest, TransferToStripedSplitsAcrossNodes) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB, BBMode::Striped, 2));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);
   double done = -1;
-  sys.transfer({"f", 1000.0}, sys.pfs(), *sys.burst_buffer(), 0,
+  sys.transfer({kF, 1000.0, "f"}, sys.pfs(), *sys.burst_buffer(), 0,
                [&] { done = fabric.engine().now(); });
   fabric.engine().run();
   // Both stripes share the PFS read path (100 B/s total) -> still 10 s.
   EXPECT_DOUBLE_EQ(done, 10.0);
-  EXPECT_EQ(sys.burst_buffer()->replica("f")->node, -1);
+  EXPECT_EQ(sys.burst_buffer()->replica(kF)->node, -1);
 }
 
 TEST(SystemTest, ServiceLookupByName) {
@@ -344,11 +353,11 @@ TEST(SystemTest, WriteReservesCapacityUpFront) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));  // BB capacity 10000
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->write({"a", 6000.0}, 0, nullptr);
+  bb->write({kA, 6000.0, "a"}, 0, nullptr);
   // Second concurrent write would overflow: reservation catches it now.
-  EXPECT_THROW(bb->write({"b", 6000.0}, 0, nullptr), util::ConfigError);
+  EXPECT_THROW(bb->write({kB, 6000.0, "b"}, 0, nullptr), util::ConfigError);
   fabric.engine().run();
-  EXPECT_TRUE(bb->has_file("a"));
+  EXPECT_TRUE(bb->has_file(kA));
 }
 
 // ------------------------------------------------------- cancellable I/O
@@ -358,13 +367,13 @@ TEST(CancellableIo, CancelledWriteReleasesReservationAndReplicaNeverAppears) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = bb->write({"out", 6000.0}, 0, [&] { fired = true; });
+  const IoHandle op = bb->write({kOut, 6000.0, "out"}, 0, [&] { fired = true; });
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 6000.0);  // reserved up front
   fabric.engine().schedule_at(1.0, [&] { op->cancel(); });
   fabric.engine().run();
   EXPECT_FALSE(fired);
   EXPECT_TRUE(op->cancelled());
-  EXPECT_FALSE(bb->has_file("out"));
+  EXPECT_FALSE(bb->has_file(kOut));
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 0.0);  // reservation rolled back
 }
 
@@ -373,12 +382,12 @@ TEST(CancellableIo, CancelAfterCompletionIsNoOp) {
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = bb->write({"out", 800.0}, 0, [&] { fired = true; });
+  const IoHandle op = bb->write({kOut, 800.0, "out"}, 0, [&] { fired = true; });
   fabric.engine().run();
   EXPECT_TRUE(fired);
   EXPECT_TRUE(op->finished());
   EXPECT_DOUBLE_EQ(op->cancel(), 800.0);  // no-op: reports bytes moved
-  EXPECT_TRUE(bb->has_file("out"));       // replica survives
+  EXPECT_TRUE(bb->has_file(kOut));       // replica survives
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 800.0);
 }
 
@@ -389,9 +398,9 @@ TEST(CancellableIo, CancelDuringLatencyWindowMovesNoBytes) {
   p.storage[0].base_latency = 5.0;
   Fabric fabric(p);
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);
   bool fired = false;
-  const IoHandle op = sys.pfs().read({"f", 1000.0}, 0, [&] { fired = true; });
+  const IoHandle op = sys.pfs().read({kF, 1000.0, "f"}, 0, [&] { fired = true; });
   fabric.engine().schedule_at(1.0, [&] { EXPECT_DOUBLE_EQ(op->cancel(), 0.0); });
   fabric.engine().run();
   EXPECT_FALSE(fired);
@@ -401,9 +410,9 @@ TEST(CancellableIo, CancelDuringLatencyWindowMovesNoBytes) {
 TEST(CancellableIo, CancelledReadSettlesPartialBytes) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);  // reads at 100 B/s
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);  // reads at 100 B/s
   bool fired = false;
-  const IoHandle op = sys.pfs().read({"f", 1000.0}, 0, [&] { fired = true; });
+  const IoHandle op = sys.pfs().read({kF, 1000.0, "f"}, 0, [&] { fired = true; });
   double moved = -1.0;
   fabric.engine().schedule_at(4.0, [&] { moved = op->cancel(); });
   fabric.engine().run();
@@ -416,32 +425,32 @@ TEST(CancellableIo, CancelledReadSettlesPartialBytes) {
 TEST(CancellableIo, CancelledTransferRollsBackDestination) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
-  sys.pfs().register_file({"f", 1000.0}, 0);
+  sys.pfs().register_file({kF, 1000.0, "f"}, 0);
   StorageService* bb = sys.burst_buffer();
   bool fired = false;
-  const IoHandle op = sys.transfer({"f", 1000.0}, sys.pfs(), *bb, 0,
+  const IoHandle op = sys.transfer({kF, 1000.0, "f"}, sys.pfs(), *bb, 0,
                                                [&] { fired = true; });
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 1000.0);  // destination reservation
   fabric.engine().schedule_at(2.0, [&] { op->cancel(); });
   fabric.engine().run();
   EXPECT_FALSE(fired);
-  EXPECT_FALSE(bb->has_file("f"));
+  EXPECT_FALSE(bb->has_file(kF));
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 0.0);
-  EXPECT_TRUE(sys.pfs().has_file("f"));  // source untouched
+  EXPECT_TRUE(sys.pfs().has_file(kF));  // source untouched
 }
 
 TEST(CancellableIo, CancelledOverwriteKeepsOldReplica) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  bb->register_file({"out", 300.0}, 0);
-  const IoHandle op = bb->write({"out", 900.0}, 0, nullptr);
+  bb->register_file({kOut, 300.0, "out"}, 0);
+  const IoHandle op = bb->write({kOut, 900.0, "out"}, 0, nullptr);
   // Overwrite reservation: delta = 900 - 300.
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 900.0);
   fabric.engine().schedule_at(0.25, [&] { op->cancel(); });
   fabric.engine().run();
-  ASSERT_TRUE(bb->has_file("out"));
-  EXPECT_DOUBLE_EQ(bb->replica("out")->size, 300.0);  // old replica survives
+  ASSERT_TRUE(bb->has_file(kOut));
+  EXPECT_DOUBLE_EQ(bb->replica(kOut)->size, 300.0);  // old replica survives
   EXPECT_DOUBLE_EQ(bb->used_bytes(), 300.0);
 }
 
@@ -449,7 +458,7 @@ TEST(CancellableIo, DoubleCancelIsIdempotent) {
   Fabric fabric(tiny_platform(StorageKind::SharedBB));
   StorageSystem sys(fabric);
   StorageService* bb = sys.burst_buffer();
-  const IoHandle op = bb->write({"out", 6000.0}, 0, nullptr);
+  const IoHandle op = bb->write({kOut, 6000.0, "out"}, 0, nullptr);
   fabric.engine().schedule_at(1.0, [&] {
     const double first = op->cancel();
     EXPECT_DOUBLE_EQ(op->cancel(), first);  // second cancel changes nothing

@@ -14,7 +14,7 @@ std::vector<ValidationIssue> validate_result(const Result& result,
                                              const wf::Workflow& workflow,
                                              const platform::PlatformSpec& platform) {
   std::vector<ValidationIssue> issues;
-  auto complain = [&issues](std::string what, IssueCode code) {
+  auto complain = [&issues](std::string what, audit::Code code) {
     issues.push_back(ValidationIssue{std::move(what), code});
   };
 
@@ -23,34 +23,34 @@ std::vector<ValidationIssue> validate_result(const Result& result,
     const std::string& name = task.name;
     const auto it = result.tasks.find(name);
     if (it == result.tasks.end()) {
-      complain("task '" + name + "' has no record", IssueCode::kMissingRecord);
+      complain("task '" + name + "' has no record", audit::Code::kTaskLifecycle);
       continue;
     }
     const TaskRecord& r = it->second;
     if (!(r.t_ready <= r.t_start + 1e-9)) {
       complain(util::format("task '%s': started (%.6f) before ready (%.6f)",
                             name.c_str(), r.t_start, r.t_ready),
-               IssueCode::kPhaseOrder);
+               audit::Code::kTaskLifecycle);
     }
     if (!(r.t_start <= r.t_reads_done + 1e-9) ||
         !(r.t_reads_done <= r.t_compute_done + 1e-9) ||
         !(r.t_compute_done <= r.t_end + 1e-9)) {
       complain("task '" + name + "': phase timestamps out of order",
-               IssueCode::kPhaseOrder);
+               audit::Code::kTaskLifecycle);
     }
     if (r.host >= platform.hosts.size()) {
-      complain("task '" + name + "': host index out of range", IssueCode::kHostRange);
+      complain("task '" + name + "': host index out of range", audit::Code::kTaskLifecycle);
       continue;
     }
     if (r.cores < 1 || r.cores > platform.hosts[r.host].cores) {
       complain(util::format("task '%s': %d cores exceed host capacity %d",
                             name.c_str(), r.cores, platform.hosts[r.host].cores),
-               IssueCode::kCoreBudget);
+               audit::Code::kCoreOversubscription);
     }
   }
   for (const auto& [name, _] : result.tasks) {
     if (!workflow.has_task(name)) {
-      complain("record for unknown task '" + name + "'", IssueCode::kUnknownTask);
+      complain("record for unknown task '" + name + "'", audit::Code::kTaskLifecycle);
     }
   }
   if (!issues.empty()) return issues;  // later checks assume complete records
@@ -82,7 +82,7 @@ std::vector<ValidationIssue> validate_result(const Result& result,
         complain(util::format("precedence violated: '%s' ended %.6f after "
                               "child '%s' started %.6f",
                               p.c_str(), done, name.c_str(), child.t_start),
-                 IssueCode::kPrecedence);
+                 audit::Code::kPrecedence);
       }
     }
   }
@@ -110,7 +110,7 @@ std::vector<ValidationIssue> validate_result(const Result& result,
         complain(util::format("host %zu oversubscribed: %d cores in use at t=%.6f "
                               "(capacity %d)",
                               host, in_use, e.time, capacity),
-                 IssueCode::kOversubscribed);
+                 audit::Code::kCoreOversubscription);
         break;  // one report per host suffices
       }
     }
@@ -122,7 +122,7 @@ std::vector<ValidationIssue> validate_result(const Result& result,
   if (result.makespan + 1e-9 < last_end) {
     complain(util::format("makespan %.6f < last task end %.6f", result.makespan,
                           last_end),
-             IssueCode::kMakespan);
+             audit::Code::kResultInconsistent);
   }
   return issues;
 }
@@ -130,24 +130,6 @@ std::vector<ValidationIssue> validate_result(const Result& result,
 namespace {
 
 constexpr double kBytesTolerance = 1e-6;
-
-audit::Code audit_code_of(IssueCode code) {
-  switch (code) {
-    case IssueCode::kMissingRecord:
-    case IssueCode::kUnknownTask:
-    case IssueCode::kPhaseOrder:
-    case IssueCode::kHostRange:
-      return audit::Code::kTaskLifecycle;
-    case IssueCode::kCoreBudget:
-    case IssueCode::kOversubscribed:
-      return audit::Code::kCoreOversubscription;
-    case IssueCode::kPrecedence:
-      return audit::Code::kPrecedence;
-    case IssueCode::kMakespan:
-      return audit::Code::kResultInconsistent;
-  }
-  return audit::Code::kResultInconsistent;  // unreachable
-}
 
 bool bytes_close(double a, double b) {
   return std::abs(a - b) <= kBytesTolerance * std::max(1.0, std::max(a, b));
@@ -157,9 +139,9 @@ bool bytes_close(double a, double b) {
 
 void audit_result(const Result& result, const wf::Workflow& workflow,
                   const platform::PlatformSpec& platform, audit::Auditor& auditor) {
-  // Schedule legality: reuse the validator and translate each issue.
+  // Schedule legality: reuse the validator, whose issues carry audit codes.
   for (const ValidationIssue& issue : validate_result(result, workflow, platform)) {
-    auditor.report(audit_code_of(issue.code), audit::kPostRun, "result", issue.what);
+    auditor.report(issue.code, audit::kPostRun, "result", issue.what);
   }
 
   // Byte conservation between the records and the workflow declaration:

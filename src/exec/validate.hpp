@@ -21,23 +21,14 @@
 
 namespace bbsim::exec {
 
-/// Which invariant a ValidationIssue violates (machine-readable; the audit
-/// layer maps these onto audit::Code categories).
-enum class IssueCode {
-  kMissingRecord,    ///< a workflow task has no execution record
-  kUnknownTask,      ///< a record exists for a task not in the workflow
-  kPhaseOrder,       ///< ready/start/reads/compute/end timestamps disordered
-  kHostRange,        ///< record names a host index outside the platform
-  kCoreBudget,       ///< a task's cores exceed its host's core count
-  kPrecedence,       ///< a child started before a parent finished
-  kOversubscribed,   ///< concurrent tasks exceeded a host's cores
-  kMakespan,         ///< the makespan does not cover every task
-};
-
-/// One violated invariant.
+/// One violated invariant, in the audit's taxonomy: kTaskLifecycle (a
+/// missing or unknown record, disordered phase times, a host index out of
+/// range), kCoreOversubscription (a task's or concurrent tasks' cores
+/// exceed the host's), kPrecedence or kResultInconsistent (the makespan
+/// does not cover every task).
 struct ValidationIssue {
   std::string what;
-  IssueCode code = IssueCode::kMissingRecord;
+  audit::Code code = audit::Code::kTaskLifecycle;
 };
 
 /// Returns all violations found (empty = the run is consistent).

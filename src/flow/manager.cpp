@@ -37,28 +37,27 @@ double finish_instant(const FlowState& st, double remaining, sim::Time since) {
 // ------------------------------------------------------------ completion index
 
 void FlowManager::CompletionIndex::insert(FlowId id, double at) {
-  if (id >= slots_.size()) slots_.resize(id + 1);
-  slots_[id].stamp = next_stamp_++;
+  if (id >= pos_.size()) pos_.resize(id + 1);
   heap_.push_back(Entry{at, id});
-  slots_[id].pos = heap_.size() - 1;
+  pos_[id] = heap_.size() - 1;
   sift_up(heap_.size() - 1);
 }
 
 void FlowManager::CompletionIndex::erase(FlowId id) {
-  const std::size_t pos = slots_[id].pos;
+  const std::size_t pos = pos_[id];
   const Entry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;
   place(pos, last);
   sift_up(pos);
-  sift_down(slots_[last.id].pos);
+  sift_down(pos_[last.id]);
 }
 
 void FlowManager::CompletionIndex::update(FlowId id, double at) {
-  const std::size_t pos = slots_[id].pos;
+  const std::size_t pos = pos_[id];
   heap_[pos].at = at;
   sift_up(pos);
-  sift_down(slots_[id].pos);
+  sift_down(pos_[id]);
 }
 
 double FlowManager::CompletionIndex::min_at() const {
@@ -73,7 +72,7 @@ FlowId FlowManager::CompletionIndex::pop_min() {
 
 void FlowManager::CompletionIndex::place(std::size_t pos, Entry e) {
   heap_[pos] = e;
-  slots_[e.id].pos = pos;
+  pos_[e.id] = pos;
 }
 
 // Both sifts expect the entry at `pos` to be placed already (its slot
@@ -141,7 +140,7 @@ void FlowManager::check_invariants() const {
   BBSIM_ASSERT(index_.min_at() == brute_min,  // NOLINT(bbsim-float-equality)
                "completion index minimum " + std::to_string(index_.min_at()) +
                    " s, brute-force minimum " + std::to_string(brute_min) + " s");
-  // The solver sums rates in freezing order, the walk above in creation
+  // The solver sums rates in freezing order, the walk above in storage
   // order: they agree to rounding.
   for (ResourceId r = 0; r < net_.resource_count(); ++r) {
     const double ledger = r < ledger_.size() ? ledger_[r].load : 0.0;
@@ -318,7 +317,8 @@ void FlowManager::on_wake() {
   // the first that does not. The rule's exact == is the point: it asks
   // whether the residual time is an ulp no-op on the clock. A due flow
   // that rounding left short of the rule is re-keyed past now. Sorting by
-  // creation stamp keeps removals and callbacks in creation order.
+  // the network's creation stamp keeps removals and callbacks in creation
+  // order.
   const sim::Time now = engine_.now();
   done_.clear();
   while (!index_.empty()) {
@@ -337,9 +337,7 @@ void FlowManager::on_wake() {
       break;
     }
   }
-  std::sort(done_.begin(), done_.end(), [this](FlowId a, FlowId b) {
-    return index_.stamp(a) < index_.stamp(b);
-  });
+  std::ranges::sort(done_, {}, [this](FlowId id) { return net_.stamp(id); });
 
   std::vector<CompletionHandler> callbacks;
   callbacks.reserve(done_.size());

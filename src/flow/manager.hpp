@@ -150,7 +150,6 @@ class FlowManager {
   /// concurrent-flow high-water mark; the heap holds only live flows.
   class CompletionIndex {
    public:
-    /// Add a flow; it takes the next creation stamp.
     void insert(FlowId id, double at);
     void erase(FlowId id);
     /// Change one entry and restore heap order: O(log F).
@@ -159,31 +158,23 @@ class FlowManager {
     bool empty() const { return heap_.empty(); }
     std::size_t size() const { return heap_.size(); }
     bool contains(FlowId id) const {
-      return id < slots_.size() && slots_[id].pos < heap_.size() &&
-             heap_[slots_[id].pos].id == id;
+      return id < pos_.size() && pos_[id] < heap_.size() &&
+             heap_[pos_[id]].id == id;
     }
     /// Earliest finish instant (+inf when empty) and its flow.
     double min_at() const;
     FlowId min_id() const { return heap_.front().id; }
     /// Remove the flow with the earliest finish instant and return it.
     FlowId pop_min();
-    double at(FlowId id) const { return heap_[slots_[id].pos].at; }
-    /// Creation order of flows, stable across id recycling; a removed
-    /// flow keeps its stamp until its id is reused.
-    std::uint64_t stamp(FlowId id) const { return slots_[id].stamp; }
+    double at(FlowId id) const { return heap_[pos_[id]].at; }
 
    private:
     struct Entry {
       double at = 0.0;
       FlowId id = 0;
     };
-    struct Slot {
-      std::size_t pos = 0;  ///< index into heap_
-      std::uint64_t stamp = 0;
-    };
     std::vector<Entry> heap_;
-    std::vector<Slot> slots_;  ///< index = FlowId
-    std::uint64_t next_stamp_ = 0;
+    std::vector<std::size_t> pos_;  ///< index = FlowId: the flow's index into heap_
 
     void place(std::size_t pos, Entry e);
     void sift_up(std::size_t pos);

@@ -124,6 +124,7 @@ FlowId Network::add_flow(FlowSpec spec) {
   st.spec = std::move(spec);
 
   FlowLinks links;
+  links.stamp = next_stamp_++;
   links.member_pos.resize(st.spec.path.size());
   for (std::uint32_t k = 0; k < st.spec.path.size(); ++k) {
     const ResourceId r = st.spec.path[k];
@@ -132,16 +133,6 @@ FlowId Network::add_flow(FlowSpec spec) {
     mark_resource_dirty(r);
   }
   if (st.spec.path.empty()) dirty_flow_ids_.push_back(id);
-
-  // Append to the creation-order list: recycled ids re-enter at the tail.
-  links.prev = tail_;
-  links.next = kNoId;
-  if (tail_ != kNoId) {
-    links_[id_to_index_[tail_]].next = id;
-  } else {
-    head_ = id;
-  }
-  tail_ = id;
 
   flows_.push_back(std::move(st));
   links_.push_back(std::move(links));
@@ -161,7 +152,7 @@ void Network::remove_flow(FlowId id) {
   // Detach from every resource's member list (swap-remove, fixing the moved
   // entry's back-pointer) and dirty the resources the flow leaves behind.
   const FlowState& st = flows_[i];
-  FlowLinks& links = links_[i];
+  const FlowLinks& links = links_[i];
   for (std::uint32_t k = 0; k < st.spec.path.size(); ++k) {
     const ResourceId r = st.spec.path[k];
     std::vector<MemberRef>& mem = members_[r];
@@ -173,18 +164,6 @@ void Network::remove_flow(FlowId id) {
       links_[moved.flow].member_pos[moved.slot] = pos;
     }
     mark_resource_dirty(r);
-  }
-
-  // Unlink from the creation-order list.
-  if (links.prev != kNoId) {
-    links_[id_to_index_[links.prev]].next = links.next;
-  } else {
-    head_ = links.next;
-  }
-  if (links.next != kNoId) {
-    links_[id_to_index_[links.next]].prev = links.prev;
-  } else {
-    tail_ = links.prev;
   }
 
   const std::size_t last = flows_.size() - 1;
@@ -208,9 +187,8 @@ void Network::remove_flow(FlowId id) {
 const FlowState& Network::flow(FlowId id) const { return flows_[checked_index(id)]; }
 
 std::vector<FlowId> Network::flow_ids() const {
-  std::vector<FlowId> out;
-  out.reserve(flows_.size());
-  for_each_flow([&out](FlowId id, const FlowState&) { out.push_back(id); });
+  std::vector<FlowId> out(ids_);
+  std::ranges::sort(out, {}, [this](FlowId id) { return stamp(id); });
   return out;
 }
 

@@ -170,22 +170,23 @@ class Network {
   void set_incremental(bool on) { incremental_ = on; }
   bool incremental() const { return incremental_; }
 
-  /// All flow ids currently active, in creation order (deterministic).
-  /// Creation order is tracked explicitly (an intrusive list), so it
-  /// survives id recycling: a recycled id keeps its *new* flow's position,
-  /// not the retired flow's numeric rank.
+  /// All flow ids currently active, in creation order (deterministic):
+  /// sorted by stamp(), so the order survives id recycling. A recycled id
+  /// takes its *new* flow's position, not the retired flow's numeric rank.
   std::vector<FlowId> flow_ids() const;
 
-  /// Visit every active flow in creation order without allocating.
-  /// `fn(FlowId, const FlowState&)` must not add or remove flows.
+  /// The creation stamp add_flow() gave active flow `id`: flows are stamped
+  /// 0, 1, 2, ... in the order they are added, recycled ids included.
+  std::uint64_t stamp(FlowId id) const { return links_[checked_index(id)].stamp; }
+
+  /// Visit every active flow in storage order without allocating. That
+  /// order is neither creation nor id order (removal swaps the last flow
+  /// into the gap), so callers pair each id with its state; flow_ids()
+  /// gives creation order. `fn(FlowId, const FlowState&)` must not add or
+  /// remove flows.
   template <typename Fn>
   void for_each_flow(Fn&& fn) const {
-    for (FlowId id = head_; id != kNoId;) {
-      const std::size_t i = id_to_index_[id];
-      const FlowId next = links_[i].next;
-      fn(id, flows_[i]);
-      id = next;
-    }
+    for (std::size_t i = 0; i < flows_.size(); ++i) fn(ids_[i], flows_[i]);
   }
 
   /// Visit the flows the last solve() re-solved (its closure: the dirty
@@ -235,7 +236,6 @@ class Network {
 
  private:
   static constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
-  static constexpr FlowId kNoId = static_cast<FlowId>(-1);
 
   /// One occurrence of a flow on a resource (a flow crossing a resource
   /// twice has two entries -- it consumes a double share).
@@ -246,8 +246,7 @@ class Network {
 
   /// Per-flow bookkeeping parallel to flows_ (swap-removed together).
   struct FlowLinks {
-    FlowId prev = kNoId;  ///< creation-order intrusive list
-    FlowId next = kNoId;
+    std::uint64_t stamp = 0;  ///< creation order (see stamp())
     /// Position of (this flow, slot k) inside members_[spec.path[k]].
     std::vector<std::uint32_t> member_pos;
   };
@@ -260,8 +259,7 @@ class Network {
   std::vector<std::size_t> id_to_index_;  // FlowId -> index, kNoFlow when gone
   std::vector<FlowId> free_ids_;     // recycled ids (keeps id_to_index_ bounded)
   FlowId next_flow_id_ = 0;
-  FlowId head_ = kNoId;  ///< oldest active flow (creation order)
-  FlowId tail_ = kNoId;  ///< newest active flow
+  std::uint64_t next_stamp_ = 0;
 
   // --- dirty tracking between solves -------------------------------------
   bool incremental_ = true;

@@ -134,7 +134,9 @@ flow::FlowSpec to_spec(const TransferPlan& t, const Platform& p) {
   return spec;
 }
 
-/// Snapshot of every active rate in creation order, for divergence checks.
+/// Snapshot of every active rate in storage order, for divergence checks:
+/// two snapshots of one network with no flow added or removed in between
+/// pair up by position.
 std::vector<std::pair<flow::FlowId, double>> snapshot(const flow::Network& net) {
   std::vector<std::pair<flow::FlowId, double>> rates;
   rates.reserve(net.flow_count());

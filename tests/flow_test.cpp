@@ -893,8 +893,9 @@ TEST(NetworkHardening, FlowIdsStayInCreationOrderAfterRecycling) {
     expect.push_back(net.add_flow({1.0, {r}}));
     ASSERT_EQ(net.flow_ids(), expect) << "round " << round;
   }
-  // The order must also be what for_each_flow walks and what the solver
-  // referees see: rates after churn agree with a fresh full re-solve.
+  // Rates after churn agree with a fresh full re-solve. for_each_flow walks
+  // storage order, the same in both walks since no flow is added or removed
+  // between them, so the two rate lists pair up by position.
   net.solve();
   net.check_invariants();
   std::vector<double> incremental;
